@@ -62,7 +62,7 @@ GatedRunResult RunGated(const workloads::SimWorkload& workload,
     const sim::StepResult step = executor.Step(ctx, sim::StallPolicy::kBlocking);
     switch (step.event) {
       case sim::StepEvent::kError:
-        std::fprintf(stderr, "gated run error: %s\n", step.status.ToString().c_str());
+        std::fprintf(stderr, "gated run error: %s\n", executor.error().ToString().c_str());
         return result;
       case sim::StepEvent::kExecuted:
         break;

@@ -487,7 +487,7 @@ Status DualModeScheduler::RunScavengerBurst() {
           scavenger_executor_.Step(scavenger.ctx, sim::StallPolicy::kBlocking);
       ++report_.run.instructions;
       if (step.event == sim::StepEvent::kError) {
-        return step.status;
+        return scavenger_executor_.error();
       }
       if (profiler_ != nullptr) {
         profiler_->OnScavengerStep(step.issue_cycles, step.wait_cycles);
@@ -617,7 +617,7 @@ Result<size_t> DualModeScheduler::RunTasks(size_t max_tasks) {
           primary_executor_.Step(primary, sim::StallPolicy::kBlocking);
       ++report_.run.instructions;
       if (step.event == sim::StepEvent::kError) {
-        return step.status;
+        return primary_executor_.error();
       }
       if (profiler_ != nullptr) {
         profiler_->OnPrimaryStep(ip, step.issue_cycles, step.wait_cycles);

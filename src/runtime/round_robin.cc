@@ -90,7 +90,7 @@ Result<RunReport> RoundRobinScheduler::Run(uint64_t max_total_instructions) {
 
     switch (step.event) {
       case sim::StepEvent::kError:
-        return step.status;
+        return executor_.error();
       case sim::StepEvent::kExecuted:
         break;
       case sim::StepEvent::kYielded: {

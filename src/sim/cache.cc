@@ -1,5 +1,6 @@
 #include "src/sim/cache.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace yieldhide::sim {
@@ -8,91 +9,72 @@ namespace {
 [[maybe_unused]] bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
 }  // namespace
 
-Cache::Cache(const CacheLevelConfig& config) : config_(config) {
-  num_sets_ = config.num_sets();
-  assert(num_sets_ > 0 && IsPowerOfTwo(num_sets_) &&
+Cache::Cache(const CacheLevelConfig& config) : config_(config), ways_(config.ways) {
+  const uint64_t num_sets = config.num_sets();
+  assert(num_sets > 0 && IsPowerOfTwo(num_sets) &&
          "cache size must be a power-of-two multiple of line*ways");
-  set_mask_ = num_sets_ - 1;
-  ways_.resize(num_sets_ * config.ways);
+  set_mask_ = num_sets - 1;
+  // Stamps of invalid ways are never read, so one fill covers both halves.
+  slots_.assign(num_sets * 2 * ways_, kInvalidTag);
 }
-
-Cache::Way* Cache::FindWay(uint64_t line_addr) {
-  Way* base = &ways_[SetIndex(line_addr) * config_.ways];
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].line_addr == line_addr) {
-      return &base[w];
-    }
-  }
-  return nullptr;
-}
-
-const Cache::Way* Cache::FindWay(uint64_t line_addr) const {
-  const Way* base = &ways_[SetIndex(line_addr) * config_.ways];
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].line_addr == line_addr) {
-      return &base[w];
-    }
-  }
-  return nullptr;
-}
-
-bool Cache::Contains(uint64_t line_addr) const { return FindWay(line_addr) != nullptr; }
 
 bool Cache::Lookup(uint64_t line_addr) {
   ++stats_.lookups;
-  Way* way = FindWay(line_addr);
-  if (way == nullptr) {
+  uint64_t* set = SetOf(line_addr);
+  const int way = FindWay(set, line_addr);
+  if (way < 0) {
     return false;
   }
-  way->lru_stamp = ++lru_clock_;
+  set[ways_ + way] = ++lru_clock_;
   ++stats_.hits;
   return true;
 }
 
 bool Cache::Install(uint64_t line_addr, uint64_t* evicted) {
+  assert(line_addr != kInvalidTag);
   ++stats_.installs;
-  Way* base = &ways_[SetIndex(line_addr) * config_.ways];
-  Way* victim = nullptr;
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].line_addr == line_addr) {
-      base[w].lru_stamp = ++lru_clock_;  // refresh, already present
+  uint64_t* tags = SetOf(line_addr);
+  uint64_t* stamps = tags + ways_;
+  uint32_t invalid = ways_;  // first invalid way, if any
+  uint32_t lru = ways_;      // valid way with the smallest stamp
+  for (uint32_t w = 0; w < ways_; ++w) {
+    if (tags[w] == line_addr) {
+      stamps[w] = ++lru_clock_;  // refresh, already present
       return false;
     }
-    if (!base[w].valid) {
-      if (victim == nullptr || victim->valid) {
-        victim = &base[w];
+    if (tags[w] == kInvalidTag) {
+      if (invalid == ways_) {
+        invalid = w;
       }
-    } else if (victim == nullptr ||
-               (victim->valid && base[w].lru_stamp < victim->lru_stamp)) {
-      victim = &base[w];
+    } else if (lru == ways_ || stamps[w] < stamps[lru]) {
+      lru = w;
     }
   }
-  const bool evicting = victim->valid;
+  const bool evicting = invalid == ways_;
+  const uint32_t victim = evicting ? lru : invalid;
   if (evicting) {
     ++stats_.evictions;
     if (evicted != nullptr) {
-      *evicted = victim->line_addr;
+      *evicted = tags[victim];
     }
   }
-  victim->valid = true;
-  victim->line_addr = line_addr;
-  victim->lru_stamp = ++lru_clock_;
+  tags[victim] = line_addr;
+  stamps[victim] = ++lru_clock_;
   return evicting;
 }
 
 bool Cache::Invalidate(uint64_t line_addr) {
-  Way* way = FindWay(line_addr);
-  if (way == nullptr) {
+  uint64_t* set = SetOf(line_addr);
+  const int way = FindWay(set, line_addr);
+  if (way < 0) {
     return false;
   }
-  way->valid = false;
+  set[way] = kInvalidTag;
   return true;
 }
 
 void Cache::Reset() {
-  for (Way& way : ways_) {
-    way = Way{};
-  }
+  std::fill(slots_.begin(), slots_.end(), kInvalidTag);
   lru_clock_ = 0;
   stats_ = Stats{};
 }

@@ -11,10 +11,10 @@ constexpr size_t kMaxCallDepth = 4096;
 Executor::Executor(const isa::Program* program, Machine* machine)
     : program_(program), machine_(machine) {}
 
-StepResult Executor::Error(Status status) const {
+StepResult Executor::Error(Status status) {
+  error_ = std::move(status);
   StepResult result;
   result.event = StepEvent::kError;
-  result.status = std::move(status);
   return result;
 }
 
@@ -124,6 +124,10 @@ StepResult Executor::Step(CpuContext& ctx, StallPolicy policy) {
     case Opcode::kPrefetch: {
       const uint64_t vaddr = regs[insn.rs1] + static_cast<uint64_t>(insn.imm);
       machine_->hierarchy().Prefetch(vaddr, now);
+      // The paper's mechanism, applied to the simulator itself: the matching
+      // load retires after other contexts have run, so the host cache fill
+      // of the image bytes overlaps with their simulation.
+      machine_->memory().HostPrefetch(vaddr);
       result.issue_cycles = cost.prefetch_cycles;
       machine_->listeners().OnPrefetch(ctx.id, ip, vaddr, now);
       break;
@@ -235,7 +239,7 @@ Result<uint64_t> Executor::RunToCompletion(CpuContext& ctx, uint64_t max_instruc
     }
     const StepResult result = Step(ctx, StallPolicy::kBlocking);
     if (result.event == StepEvent::kError) {
-      return result.status;
+      return error_;
     }
     // kYielded with nobody to switch to: fall through at zero cost.
   }

@@ -65,7 +65,7 @@ struct StepResult {
   uint32_t issue_cycles = 0;  // pipeline-occupancy cost of the instruction
   uint32_t wait_cycles = 0;   // additional memory wait (stall if not hidden)
   bool conditional_yield = false;  // event==kYielded via CYIELD
-  Status status;                   // set when event==kError
+  // On kError the cause is in Executor::error().
 };
 
 // How Step() should account memory waits.
@@ -97,14 +97,19 @@ class Executor {
   // switch to). Returns total cycles consumed. Used for baselines.
   Result<uint64_t> RunToCompletion(CpuContext& ctx, uint64_t max_instructions);
 
+  // Why the most recent kError step failed. Set only when Step() returns
+  // kError, so the hot path carries no Status.
+  const Status& error() const { return error_; }
+
   const isa::Program& program() const { return *program_; }
   Machine& machine() { return *machine_; }
 
  private:
-  StepResult Error(Status status) const;
+  StepResult Error(Status status);
 
   const isa::Program* program_;
   Machine* machine_;
+  Status error_;
 };
 
 }  // namespace yieldhide::sim

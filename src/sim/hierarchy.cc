@@ -1,5 +1,6 @@
 #include "src/sim/hierarchy.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace yieldhide::sim {
@@ -39,15 +40,33 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
          "all levels must share a line size");
 }
 
+// Completed fills are installed in the MSHR map's iteration order, and that
+// order sets the LRU stamps they receive. With std::unordered_map the order is
+// libstdc++'s bucket order, so simulated results depend on the standard
+// library: a known determinism dependency. A fixed-array MSHR would be faster
+// but would change the order, and with it the stamps and every simulated
+// number downstream, so it waits for a change that may move results. The
+// early exit below skips only passes that would install nothing.
 void MemoryHierarchy::DrainMshr(uint64_t now) {
+  if (now < min_ready_) {
+    return;
+  }
+  uint64_t min_ready = std::numeric_limits<uint64_t>::max();
   for (auto it = mshr_.begin(); it != mshr_.end();) {
     if (it->second.ready_cycle <= now) {
       InstallEverywhere(it->first);
       it = mshr_.erase(it);
     } else {
+      min_ready = std::min(min_ready, it->second.ready_cycle);
       ++it;
     }
   }
+  min_ready_ = min_ready;
+}
+
+void MemoryHierarchy::StartFill(uint64_t line, uint64_t ready_cycle) {
+  mshr_.emplace(line, Fill{ready_cycle});
+  min_ready_ = std::min(min_ready_, ready_cycle);
 }
 
 void MemoryHierarchy::InstallEverywhere(uint64_t line) {
@@ -86,7 +105,7 @@ AccessResult MemoryHierarchy::AccessLoad(uint64_t byte_addr, uint64_t now) {
       } else if (l3_.Contains(next_line)) {
         source = HitLevel::kL3;
       }
-      mshr_.emplace(next_line, Fill{now + MissLatency(source)});
+      StartFill(next_line, now + MissLatency(source));
       ++stats_.hw_prefetches;
     }
   }
@@ -129,7 +148,7 @@ AccessResult MemoryHierarchy::AccessLoad(uint64_t byte_addr, uint64_t now) {
     result.level = HitLevel::kDram;
     ++stats_.dram_accesses;
     if (mshr_.size() < config_.mshr_entries) {
-      mshr_.emplace(line, Fill{now + config_.dram_latency_cycles});
+      StartFill(line, now + config_.dram_latency_cycles);
     } else {
       InstallEverywhere(line);  // MSHR full: degrade to instant install
     }
@@ -170,7 +189,7 @@ bool MemoryHierarchy::Prefetch(uint64_t byte_addr, uint64_t now) {
   } else if (l3_.Contains(line)) {
     source = HitLevel::kL3;
   }
-  mshr_.emplace(line, Fill{now + MissLatency(source)});
+  StartFill(line, now + MissLatency(source));
   ++stats_.prefetches_issued;
   return true;
 }
@@ -206,6 +225,7 @@ void MemoryHierarchy::Reset() {
   l2_.Reset();
   l3_.Reset();
   mshr_.clear();
+  min_ready_ = std::numeric_limits<uint64_t>::max();
   last_demand_line_ = ~0ull;
   stats_ = Stats{};
 }

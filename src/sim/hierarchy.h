@@ -6,6 +6,7 @@
 #define YIELDHIDE_SRC_SIM_HIERARCHY_H_
 
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 
 #include "src/sim/cache.h"
@@ -85,6 +86,8 @@ class MemoryHierarchy {
 
   // Installs completed fills (ready <= now) into the caches.
   void DrainMshr(uint64_t now);
+  // Starts a fill of `line` (not already pending) completing at `ready_cycle`.
+  void StartFill(uint64_t line, uint64_t ready_cycle);
   void InstallEverywhere(uint64_t line);
   // Latency of fetching a line found at `level`.
   uint32_t MissLatency(HitLevel level) const;
@@ -96,6 +99,9 @@ class MemoryHierarchy {
   Cache l2_;
   Cache l3_;
   std::unordered_map<uint64_t, Fill> mshr_;
+  // Lower bound on every pending fill's ready_cycle (max when none): lowered
+  // by StartFill, recomputed exactly by each draining pass.
+  uint64_t min_ready_ = std::numeric_limits<uint64_t>::max();
   Stats stats_;
 };
 

@@ -1,6 +1,20 @@
 // Sparse byte-addressed memory image. Pages are allocated lazily so workloads
 // can use large, widely spread address ranges without committing host memory
 // for untouched regions. Unwritten bytes read as zero.
+//
+// Page table: addresses below kFlatLimit (64 GiB) resolve through a flat
+// directory of 2 MiB leaves, indexed by addr >> 21; each leaf holds 512 page
+// pointers. The directory grows on demand up to the highest leaf written, so
+// an image below 2 GiB needs at most 1024 directory slots. Addresses at or
+// above kFlatLimit — the ISA allows any 64-bit address, but no workload goes
+// there — fall back to a hash map keyed by page number.
+//
+// Both structures a simulated access touches are laid out for the host's
+// caches, since the simulator is itself bound by host misses on its own data.
+// This table resolves a page by indexing alone, with no hashing. The
+// cache levels in front of it (src/sim/cache.h) keep one uint64_t array,
+// blocked by set: each set's `ways` tags, then its `ways` LRU stamps, with the
+// sentinel tag ~0 marking an invalid way.
 #ifndef YIELDHIDE_SRC_SIM_MEMORY_H_
 #define YIELDHIDE_SRC_SIM_MEMORY_H_
 
@@ -8,6 +22,7 @@
 #include <cstring>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 namespace yieldhide::sim {
 
@@ -15,6 +30,8 @@ class SparseMemory {
  public:
   static constexpr uint64_t kPageBits = 12;
   static constexpr uint64_t kPageSize = 1ull << kPageBits;
+  static constexpr uint64_t kLeafBits = 9;  // 512 pages = 2 MiB per leaf
+  static constexpr uint64_t kFlatLimit = 1ull << 36;
 
   uint64_t Read64(uint64_t addr) const {
     // Misaligned reads spanning a page boundary are assembled bytewise; the
@@ -55,27 +72,78 @@ class SparseMemory {
     EnsurePage(addr)[addr & (kPageSize - 1)] = value;
   }
 
-  size_t resident_pages() const { return pages_.size(); }
-  size_t resident_bytes() const { return pages_.size() * kPageSize; }
+  // Host-side hint that `addr` will be read soon: starts a host cache fill
+  // of the image bytes. No effect on the image or on anything simulated.
+  void HostPrefetch(uint64_t addr) const {
+    if (addr < kFlatLimit) {
+      if (const uint8_t* page = FindFlatPage(addr)) {
+        __builtin_prefetch(page + (addr & (kPageSize - 1)));
+      }
+    }
+  }
 
-  void Clear() { pages_.clear(); }
+  size_t resident_pages() const { return resident_pages_; }
+  size_t resident_bytes() const { return resident_pages_ * kPageSize; }
+
+  void Clear() {
+    directory_.clear();
+    overflow_.clear();
+    resident_pages_ = 0;
+  }
 
  private:
+  using Page = std::unique_ptr<uint8_t[]>;
+  struct Leaf {
+    Page pages[1 << kLeafBits];
+  };
+
+  static uint64_t LeafIndex(uint64_t addr) { return addr >> (kPageBits + kLeafBits); }
+  static uint64_t PageInLeaf(uint64_t addr) {
+    return (addr >> kPageBits) & ((1 << kLeafBits) - 1);
+  }
+
+  const uint8_t* FindFlatPage(uint64_t addr) const {
+    const uint64_t leaf = LeafIndex(addr);
+    if (leaf >= directory_.size() || directory_[leaf] == nullptr) {
+      return nullptr;
+    }
+    return directory_[leaf]->pages[PageInLeaf(addr)].get();
+  }
+
   const uint8_t* FindPage(uint64_t addr) const {
-    auto it = pages_.find(addr >> kPageBits);
-    return it == pages_.end() ? nullptr : it->second.get();
+    if (addr < kFlatLimit) {
+      return FindFlatPage(addr);
+    }
+    auto it = overflow_.find(addr >> kPageBits);
+    return it == overflow_.end() ? nullptr : it->second.get();
+  }
+
+  Page& PageSlot(uint64_t addr) {
+    if (addr >= kFlatLimit) {
+      return overflow_[addr >> kPageBits];
+    }
+    const uint64_t leaf = LeafIndex(addr);
+    if (leaf >= directory_.size()) {
+      directory_.resize(leaf + 1);
+    }
+    if (directory_[leaf] == nullptr) {
+      directory_[leaf] = std::make_unique<Leaf>();
+    }
+    return directory_[leaf]->pages[PageInLeaf(addr)];
   }
 
   uint8_t* EnsurePage(uint64_t addr) {
-    auto& slot = pages_[addr >> kPageBits];
+    Page& slot = PageSlot(addr);
     if (slot == nullptr) {
-      slot = std::make_unique<uint8_t[]>(kPageSize);
-      std::memset(slot.get(), 0, kPageSize);
+      slot = std::make_unique<uint8_t[]>(kPageSize);  // zero-filled
+      ++resident_pages_;
     }
     return slot.get();
   }
 
-  std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> pages_;
+  std::vector<std::unique_ptr<Leaf>> directory_;
+  std::unordered_map<uint64_t, Page> overflow_;
+  size_t resident_pages_ = 0;
 };
 
 }  // namespace yieldhide::sim

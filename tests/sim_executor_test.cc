@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "src/isa/assembler.h"
+#include "src/runtime/annotate.h"
+#include "src/runtime/round_robin.h"
 #include "src/sim/exact_stats.h"
 #include "src/sim/executor.h"
 #include "src/sim/smt_core.h"
@@ -166,7 +168,8 @@ TEST_F(ExecutorTest, RetWithEmptyStackErrors) {
   ctx.ResetArchState(0);
   const StepResult result = executor.Step(ctx, StallPolicy::kBlocking);
   EXPECT_EQ(result.event, StepEvent::kError);
-  EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(executor.error().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(executor.error().message(), "ret with empty call stack at ip 0");
 }
 
 TEST_F(ExecutorTest, RecursionOverflowErrors) {
@@ -283,6 +286,89 @@ TEST_F(ExecutorTest, BadPcErrors) {
   executor.Step(ctx, StallPolicy::kBlocking);  // nop; pc now 1 = end
   const StepResult result = executor.Step(ctx, StallPolicy::kBlocking);
   EXPECT_EQ(result.event, StepEvent::kError);
+}
+
+// --- Error paths: Step() reports kError, the cause is in error() ---------------
+
+TEST_F(ExecutorTest, ErrorIsOkUntilAStepFails) {
+  auto program = isa::Assemble("nop\nhalt\n").value();
+  Executor executor(&program, &machine_);
+  CpuContext ctx;
+  ctx.ResetArchState(0);
+  ASSERT_TRUE(executor.RunToCompletion(ctx, 100).ok());
+  EXPECT_TRUE(executor.error().ok());
+}
+
+TEST_F(ExecutorTest, PcOutOfRangeSetsError) {
+  auto program = isa::Assemble("nop\n").value();
+  Executor executor(&program, &machine_);
+  CpuContext ctx;
+  ctx.ResetArchState(0);
+  EXPECT_EQ(executor.Step(ctx, StallPolicy::kBlocking).event, StepEvent::kExecuted);
+  EXPECT_EQ(executor.Step(ctx, StallPolicy::kBlocking).event, StepEvent::kError);
+  EXPECT_EQ(executor.error().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(executor.error().message(), "pc 1 outside program of size 1");
+  EXPECT_EQ(ctx.instructions, 1u);
+}
+
+TEST_F(ExecutorTest, CallStackOverflowsAtDepth4096) {
+  auto program = isa::Assemble("self: call self\n").value();
+  Executor executor(&program, &machine_);
+  CpuContext ctx;
+  ctx.ResetArchState(0);
+  for (int i = 0; i < 4096; ++i) {
+    ASSERT_EQ(executor.Step(ctx, StallPolicy::kBlocking).event, StepEvent::kExecuted) << i;
+  }
+  EXPECT_EQ(ctx.call_stack.size(), 4096u);
+  EXPECT_EQ(executor.Step(ctx, StallPolicy::kBlocking).event, StepEvent::kError);
+  EXPECT_EQ(executor.error().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(executor.error().message(), "call stack overflow at ip 0");
+  EXPECT_EQ(ctx.instructions, 4096u);  // the failing call did not retire
+}
+
+// Each error class, as reported by Step(), RunToCompletion() and the
+// round-robin scheduler: all three return the same status.
+TEST_F(ExecutorTest, RunnersReturnTheStepError) {
+  const struct {
+    const char* source;
+    StatusCode code;
+    const char* message;
+  } kCases[] = {
+      {"nop\n", StatusCode::kOutOfRange, "pc 1 outside program of size 1"},
+      {"self: call self\n", StatusCode::kResourceExhausted, "call stack overflow at ip 0"},
+      {"nop\nret\n", StatusCode::kFailedPrecondition, "ret with empty call stack at ip 1"},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.source);
+    auto program = isa::Assemble(c.source).value();
+
+    Executor executor(&program, &machine_);
+    CpuContext ctx;
+    ctx.ResetArchState(0);
+    auto cycles = executor.RunToCompletion(ctx, 1'000'000);
+    ASSERT_FALSE(cycles.ok());
+    EXPECT_EQ(cycles.status().code(), c.code);
+    EXPECT_EQ(cycles.status().message(), c.message);
+    EXPECT_EQ(executor.error().code(), c.code);
+    EXPECT_EQ(executor.error().message(), c.message);
+
+    Machine machine(MachineConfig::SmallTest());
+    auto binary = runtime::AnnotateManualYields(program, machine.config().cost);
+    runtime::RoundRobinScheduler sched(&binary, &machine);
+    sched.AddCoroutine(nullptr);
+    auto report = sched.Run(1'000'000);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), c.code);
+    EXPECT_EQ(report.status().message(), c.message);
+
+    Machine smt_machine(MachineConfig::SmallTest());
+    SmtCore core(&program, &smt_machine);
+    core.AddContext(nullptr);
+    auto smt = core.Run(1'000'000);
+    ASSERT_FALSE(smt.ok());
+    EXPECT_EQ(smt.status().code(), c.code);
+    EXPECT_EQ(smt.status().message(), c.message);
+  }
 }
 
 TEST_F(ExecutorTest, HaltedContextStaysHalted) {
