@@ -85,6 +85,9 @@ class MetricsRegistry {
   size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
+  // Frees every instrument: the pointers handed out so far dangle, so the
+  // components publishing here must be bound again (SetObservability,
+  // SetMetrics, SetMetricsLabels) before they next publish.
   void Clear();
 
  private:

@@ -33,6 +33,7 @@ SloEvaluator::SloEvaluator(const SloConfig& config) : config_(config) {}
 void SloEvaluator::SetMetrics(MetricsRegistry* metrics, Labels labels) {
   metrics_ = metrics;
   labels_ = std::move(labels);
+  instruments_ = Instruments{};
 }
 
 void SloEvaluator::Trim(uint64_t now) {
@@ -119,16 +120,24 @@ void SloEvaluator::PublishMetrics() {
   if (metrics_ == nullptr || !config_.enabled) {
     return;
   }
-  metrics_->GetCounter("yh_slo_requests_total", labels_)->Set(total_);
-  metrics_->GetCounter("yh_slo_bad_total", labels_)->Set(bad_);
-  metrics_->GetCounter("yh_slo_alerts_fired_total", labels_)
-      ->Set(alerts_fired_);
-  metrics_->GetCounter("yh_slo_alerts_cleared_total", labels_)
-      ->Set(alerts_cleared_);
-  metrics_->GetGauge("yh_slo_burn_rate_fast", labels_)->Set(fast_burn_);
-  metrics_->GetGauge("yh_slo_burn_rate_slow", labels_)->Set(slow_burn_);
-  metrics_->GetGauge("yh_slo_alert_active", labels_)
-      ->Set(alert_active_ ? 1.0 : 0.0);
+  Instruments& m = instruments_;
+  if (m.requests == nullptr) {
+    m.requests = metrics_->GetCounter("yh_slo_requests_total", labels_);
+    m.bad = metrics_->GetCounter("yh_slo_bad_total", labels_);
+    m.alerts_fired = metrics_->GetCounter("yh_slo_alerts_fired_total", labels_);
+    m.alerts_cleared =
+        metrics_->GetCounter("yh_slo_alerts_cleared_total", labels_);
+    m.burn_rate_fast = metrics_->GetGauge("yh_slo_burn_rate_fast", labels_);
+    m.burn_rate_slow = metrics_->GetGauge("yh_slo_burn_rate_slow", labels_);
+    m.alert_active = metrics_->GetGauge("yh_slo_alert_active", labels_);
+  }
+  m.requests->Set(total_);
+  m.bad->Set(bad_);
+  m.alerts_fired->Set(alerts_fired_);
+  m.alerts_cleared->Set(alerts_cleared_);
+  m.burn_rate_fast->Set(fast_burn_);
+  m.burn_rate_slow->Set(slow_burn_);
+  m.alert_active->Set(alert_active_ ? 1.0 : 0.0);
 }
 
 std::string SloEvaluator::Summary() const {

@@ -98,6 +98,18 @@ class SloEvaluator {
     uint64_t bad = 0;
   };
 
+  // The yh_slo_* instruments of the current SetMetrics binding, looked up at
+  // the first publish after it (requests == nullptr until then).
+  struct Instruments {
+    Counter* requests = nullptr;
+    Counter* bad = nullptr;
+    Counter* alerts_fired = nullptr;
+    Counter* alerts_cleared = nullptr;
+    Gauge* burn_rate_fast = nullptr;
+    Gauge* burn_rate_slow = nullptr;
+    Gauge* alert_active = nullptr;
+  };
+
   // Burn rate over the trailing `window` cycles ending at `now`.
   double BurnOver(uint64_t now, uint64_t window) const;
   void Trim(uint64_t now);
@@ -107,6 +119,7 @@ class SloEvaluator {
   int32_t shard_ = -1;
   MetricsRegistry* metrics_ = nullptr;
   Labels labels_;
+  Instruments instruments_;
 
   std::deque<Bucket> buckets_;
   uint64_t total_ = 0;

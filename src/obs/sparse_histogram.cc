@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace yieldhide::obs {
 
@@ -30,7 +31,15 @@ void SparseHistogram::RecordN(uint64_t value, uint64_t n) {
   if (n == 0) {
     return;
   }
-  buckets_[BucketIndex(value)] += n;
+  const int32_t index = BucketIndex(value);
+  auto it = std::lower_bound(
+      buckets_.begin(), buckets_.end(), index,
+      [](const std::pair<int32_t, uint64_t>& b, int32_t i) { return b.first < i; });
+  if (it != buckets_.end() && it->first == index) {
+    it->second += n;
+  } else {
+    buckets_.emplace(it, index, n);
+  }
   count_ += n;
   sum_ += value * n;
   min_ = std::min(min_, value);
@@ -38,9 +47,23 @@ void SparseHistogram::RecordN(uint64_t value, uint64_t n) {
 }
 
 void SparseHistogram::Merge(const SparseHistogram& other) {
-  for (const auto& [index, n] : other.buckets_) {
-    buckets_[index] += n;
+  std::vector<std::pair<int32_t, uint64_t>> merged;
+  merged.reserve(buckets_.size() + other.buckets_.size());
+  auto a = buckets_.begin();
+  auto b = other.buckets_.begin();
+  while (a != buckets_.end() || b != other.buckets_.end()) {
+    if (b == other.buckets_.end() ||
+        (a != buckets_.end() && a->first < b->first)) {
+      merged.push_back(*a++);
+    } else if (a == buckets_.end() || b->first < a->first) {
+      merged.push_back(*b++);
+    } else {
+      merged.emplace_back(a->first, a->second + b->second);
+      ++a;
+      ++b;
+    }
   }
+  buckets_ = std::move(merged);
   count_ += other.count_;
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
@@ -57,7 +80,7 @@ uint64_t SparseHistogram::ValueAtQuantile(double q) const {
   const uint64_t target =
       static_cast<uint64_t>(std::ceil(q * static_cast<double>(count_)));
   uint64_t seen = 0;
-  for (const auto& [index, n] : buckets_) {  // map iterates in index order
+  for (const auto& [index, n] : buckets_) {  // sorted by index
     seen += n;
     if (seen >= target) {
       return std::min<uint64_t>(BucketUpperBound(index), max_);

@@ -2,12 +2,19 @@
 //
 // Same bucket geometry as LatencyHistogram (geometric octave groups split
 // into 32 sub-buckets, so relative quantization error is bounded by 1/32) but
-// the buckets live in a sorted sparse map instead of a dense vector. A
-// per-site switch-cost distribution typically touches a handful of buckets;
-// keeping thousands of such histograms dense would dominate the registry's
-// footprint, while the sparse form costs O(distinct magnitudes) — usually a
-// few dozen bytes. This is the "cheap sparse-histogram representation" the
-// histogram-typed per-site metrics ROADMAP item asked for.
+// only the touched buckets are stored. A per-site switch-cost distribution
+// typically touches a handful of buckets; keeping thousands of such
+// histograms dense would dominate the registry's footprint, while the sparse
+// form costs O(distinct magnitudes) — usually a few dozen bytes. This is the
+// "cheap sparse-histogram representation" the histogram-typed per-site
+// metrics ROADMAP item asked for.
+//
+// The touched buckets live in a vector of (index, count) pairs sorted by
+// index, not in a tree. Quantiles are read far more often than new buckets
+// appear (the serving front end reads p50/p99/p999 at every poll), and a
+// quantile is then a walk over contiguous memory; recording finds its bucket
+// by binary search and inserts only on a new magnitude, and merging is one
+// linear pass over two sorted lists.
 //
 // Quantiles return the upper bound of the bucket containing the quantile
 // (clamped to the exact max), so p50 <= p95 <= p99 <= max() always holds and
@@ -18,8 +25,9 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace yieldhide::obs {
 
@@ -61,7 +69,8 @@ class SparseHistogram {
   static constexpr int kSubBucketBits = 5;
   static constexpr int kSubBuckets = 1 << kSubBucketBits;
 
-  std::map<int32_t, uint64_t> buckets_;  // bucket index -> count
+  // (bucket index, count), sorted by index; only touched buckets.
+  std::vector<std::pair<int32_t, uint64_t>> buckets_;
   uint64_t count_ = 0;
   uint64_t sum_ = 0;
   uint64_t min_ = std::numeric_limits<uint64_t>::max();

@@ -28,6 +28,7 @@ class LbrRecorder : public sim::EventListener {
  public:
   explicit LbrRecorder(const LbrConfig& config) : config_(config) {}
 
+  uint32_t Events() const override { return sim::kEventBranch; }
   void OnBranch(int ctx_id, isa::Addr from, isa::Addr to, bool taken,
                 uint64_t cycle) override;
 

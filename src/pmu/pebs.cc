@@ -49,8 +49,21 @@ void PebsSampler::Emit(PebsSample sample) {
   buffer_.push_back(sample);
 }
 
+uint32_t PebsSampler::Events() const {
+  switch (config_.event) {
+    case HwEvent::kLoadsL1Miss:
+    case HwEvent::kLoadsL2Miss:
+    case HwEvent::kLoadsL3Miss:
+      return sim::kEventLoad;
+    case HwEvent::kStallCycles:
+      return sim::kEventStall;
+    case HwEvent::kRetiredInstructions:
+      return sim::kEventRetired;
+  }
+  return sim::kAllEvents;
+}
+
 void PebsSampler::OnRetired(int ctx_id, isa::Addr ip, isa::Opcode op, uint64_t cycle) {
-  last_ip_ = ip;
   if (config_.event != HwEvent::kRetiredInstructions) {
     return;
   }

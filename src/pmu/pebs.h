@@ -37,7 +37,9 @@ class PebsSampler : public sim::EventListener {
  public:
   explicit PebsSampler(const PebsConfig& config);
 
-  // sim::EventListener:
+  // sim::EventListener. Subscribes only to the hook that carries the
+  // configured event: retired instructions, loads, or stalls.
+  uint32_t Events() const override;
   void OnRetired(int ctx_id, isa::Addr ip, isa::Opcode op, uint64_t cycle) override;
   void OnLoad(int ctx_id, isa::Addr ip, uint64_t vaddr, sim::HitLevel level,
               bool hit_inflight, uint32_t stall_cycles, uint64_t cycle) override;
@@ -65,8 +67,6 @@ class PebsSampler : public sim::EventListener {
   uint64_t next_sample_at_;
   uint64_t samples_taken_ = 0;
   uint64_t samples_dropped_ = 0;
-  // The last few retired IPs per context, for skid modelling.
-  isa::Addr last_ip_ = 0;
   std::vector<PebsSample> buffer_;
 };
 

@@ -33,6 +33,8 @@ void SamplingSession::SetObservability(obs::TraceRecorder* trace,
                                        obs::MetricsRegistry* metrics) {
   trace_ = trace;
   metrics_ = metrics;
+  sampler_instruments_.clear();
+  overhead_cycles_ = nullptr;
 }
 
 std::vector<PebsSample> SamplingSession::DrainAllSamples() {
@@ -56,18 +58,26 @@ void SamplingSession::PublishMetrics() {
   if (metrics_ == nullptr) {
     return;
   }
-  for (const auto& sampler : pebs_) {
-    const obs::Labels labels{{"event", HwEventName(sampler->config().event)}};
-    metrics_->GetCounter("yh_pmu_samples_taken_total", labels)
-        ->Set(sampler->samples_taken());
-    metrics_->GetCounter("yh_pmu_samples_dropped_total", labels)
-        ->Set(sampler->samples_dropped());
-    metrics_->GetCounter("yh_pmu_events_total", labels)
-        ->Set(sampler->event_count());
-    metrics_->GetGauge("yh_pmu_sampling_period", labels)
-        ->Set(static_cast<double>(sampler->config().period));
+  if (overhead_cycles_ == nullptr) {
+    for (const auto& sampler : pebs_) {
+      const obs::Labels labels{{"event", HwEventName(sampler->config().event)}};
+      sampler_instruments_.push_back(SamplerInstruments{
+          metrics_->GetCounter("yh_pmu_samples_taken_total", labels),
+          metrics_->GetCounter("yh_pmu_samples_dropped_total", labels),
+          metrics_->GetCounter("yh_pmu_events_total", labels),
+          metrics_->GetGauge("yh_pmu_sampling_period", labels)});
+    }
+    overhead_cycles_ = metrics_->GetCounter("yh_pmu_overhead_cycles_total");
   }
-  metrics_->GetCounter("yh_pmu_overhead_cycles_total")->Set(OverheadCycles());
+  for (size_t i = 0; i < pebs_.size(); ++i) {
+    const PebsSampler& sampler = *pebs_[i];
+    const SamplerInstruments& m = sampler_instruments_[i];
+    m.samples_taken->Set(sampler.samples_taken());
+    m.samples_dropped->Set(sampler.samples_dropped());
+    m.events->Set(sampler.event_count());
+    m.period->Set(static_cast<double>(sampler.config().period));
+  }
+  overhead_cycles_->Set(OverheadCycles());
 }
 
 std::vector<LbrSnapshot> SamplingSession::DrainLbrSnapshots() {

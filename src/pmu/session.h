@@ -66,6 +66,14 @@ class SamplingSession {
   void Reset();
 
  private:
+  // One sampler's yh_pmu_* instruments.
+  struct SamplerInstruments {
+    obs::Counter* samples_taken = nullptr;
+    obs::Counter* samples_dropped = nullptr;
+    obs::Counter* events = nullptr;
+    obs::Gauge* period = nullptr;
+  };
+
   void PublishMetrics();
 
   SessionConfig config_;
@@ -73,6 +81,10 @@ class SamplingSession {
   std::unique_ptr<LbrRecorder> lbr_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
+  // Instruments of the current SetObservability binding, one entry per
+  // sampler, looked up at the first publish after it (empty until then).
+  std::vector<SamplerInstruments> sampler_instruments_;
+  obs::Counter* overhead_cycles_ = nullptr;
 };
 
 }  // namespace yieldhide::pmu

@@ -64,10 +64,12 @@ void DualModeScheduler::SetObservability(obs::TraceRecorder* trace,
                                          obs::MetricsRegistry* metrics) {
   trace_ = trace;
   metrics_ = metrics;
+  instruments_ = Instruments{};
 }
 
 void DualModeScheduler::SetMetricsLabels(obs::Labels labels) {
   metric_labels_ = std::move(labels);
+  instruments_ = Instruments{};
 }
 
 void DualModeScheduler::SetProfiler(obs::CycleProfiler* profiler) {
@@ -83,6 +85,7 @@ void DualModeScheduler::SetSpanCollector(obs::SpanCollector* spans) {
 
 void DualModeScheduler::RebuildYieldSiteOrigins() {
   yield_site_origin_.clear();
+  instruments_.sites.clear();  // their site= labels follow the origins
   const std::vector<isa::Addr>& fwd = primary_binary_->addr_map.forward();
   if (fwd.empty()) {
     return;  // hand-built binary with no rewrite history: identity fallback
@@ -155,55 +158,82 @@ void DualModeScheduler::PublishMetrics() {
   if (metrics_ == nullptr) {
     return;
   }
+  // Instruments::counters, named in the order `values` below fills them.
+  static constexpr std::array<const char*, kNumReportCounters> kNames = {
+      "yh_sched_tasks_completed_total",    "yh_sched_yields_total",
+      "yh_sched_instructions_total",       "yh_sched_switch_cycles_total",
+      "yh_sched_issue_cycles_total",       "yh_sched_stall_cycles_total",
+      "yh_sched_scavengers_spawned_total", "yh_sched_chains_total",
+      "yh_sched_bursts_total",             "yh_sched_bursts_starved_total",
+      "yh_sched_burst_busy_cycles_total",  "yh_sched_quarantined_skips_total",
+      "yh_sched_sites_quarantined_total",  "yh_sched_binary_swaps_total",
+  };
+  Instruments& m = instruments_;
+  if (m.counters[0] == nullptr) {
+    for (size_t i = 0; i < kNumReportCounters; ++i) {
+      m.counters[i] = metrics_->GetCounter(kNames[i], metric_labels_);
+    }
+    if (trace_ != nullptr) {
+      m.trace_overhead_cycles = metrics_->GetCounter(
+          "yh_sched_trace_overhead_cycles_total", metric_labels_);
+    }
+    m.pool_cap = metrics_->GetGauge("yh_sched_scavenger_pool_cap", metric_labels_);
+    m.scavengers_live =
+        metrics_->GetGauge("yh_sched_scavengers_live", metric_labels_);
+  }
   // The report's aggregates are monotone within a run, so publishing absolute
   // values keeps the counters monotone too.
-  auto set = [&](const char* name, uint64_t v) {
-    metrics_->GetCounter(name, metric_labels_)->Set(v);
+  const std::array<uint64_t, kNumReportCounters> values = {
+      report_.run.completions.size(), report_.run.yields,
+      report_.run.instructions,       report_.run.switch_cycles,
+      report_.run.issue_cycles,       report_.run.stall_cycles,
+      report_.scavengers_spawned,     report_.chains,
+      report_.bursts,                 report_.bursts_starved,
+      report_.burst_busy_cycles,      report_.quarantined_skips,
+      report_.sites_quarantined,      report_.binary_swaps,
   };
-  set("yh_sched_tasks_completed_total", report_.run.completions.size());
-  set("yh_sched_yields_total", report_.run.yields);
-  set("yh_sched_instructions_total", report_.run.instructions);
-  set("yh_sched_switch_cycles_total", report_.run.switch_cycles);
-  set("yh_sched_issue_cycles_total", report_.run.issue_cycles);
-  set("yh_sched_stall_cycles_total", report_.run.stall_cycles);
-  set("yh_sched_scavengers_spawned_total", report_.scavengers_spawned);
-  set("yh_sched_chains_total", report_.chains);
-  set("yh_sched_bursts_total", report_.bursts);
-  set("yh_sched_bursts_starved_total", report_.bursts_starved);
-  set("yh_sched_burst_busy_cycles_total", report_.burst_busy_cycles);
-  set("yh_sched_quarantined_skips_total", report_.quarantined_skips);
-  set("yh_sched_sites_quarantined_total", report_.sites_quarantined);
-  set("yh_sched_binary_swaps_total", report_.binary_swaps);
-  if (trace_ != nullptr) {
-    set("yh_sched_trace_overhead_cycles_total", trace_->TotalOverheadCycles());
+  for (size_t i = 0; i < kNumReportCounters; ++i) {
+    m.counters[i]->Set(values[i]);
   }
-  metrics_->GetGauge("yh_sched_scavenger_pool_cap", metric_labels_)
-      ->Set(static_cast<double>(config_.max_scavengers));
+  if (m.trace_overhead_cycles != nullptr) {
+    m.trace_overhead_cycles->Set(trace_->TotalOverheadCycles());
+  }
+  m.pool_cap->Set(static_cast<double>(config_.max_scavengers));
   size_t live = 0;
   for (const Scavenger& scavenger : scavengers_) {
     live += scavenger.exhausted ? 0 : 1;
   }
-  metrics_->GetGauge("yh_sched_scavengers_live", metric_labels_)
-      ->Set(static_cast<double>(live));
+  m.scavengers_live->Set(static_cast<double>(live));
   // Per-site stream, keyed by original-binary address so the series survives
   // hot swaps (the instrumented addresses change; the sites do not).
+  size_t i = 0;
   for (const auto& [addr, stats] : report_.site_stats) {
-    obs::Labels site = metric_labels_;
-    site.emplace_back("site", StrFormat("0x%llx",
-        static_cast<unsigned long long>(OriginalSiteOf(addr))));
-    obs::Labels hidden = site;
-    hidden.emplace_back("outcome", "hidden");
-    obs::Labels blown = site;
-    blown.emplace_back("outcome", "blown");
-    metrics_->GetCounter("yh_sched_site_yields_total", hidden)
-        ->Set(stats.useful);
-    metrics_->GetCounter("yh_sched_site_yields_total", blown)
-        ->Set(stats.visits - stats.useful);
-    metrics_->GetCounter("yh_sched_site_switch_cycles_total", site)
-        ->Set(stats.switch_cycles_paid);
-    metrics_->GetGauge("yh_sched_site_quarantined", site)
-        ->Set(stats.quarantined ? 1.0 : 0.0);
+    if (i == m.sites.size() || m.sites[i].addr != addr) {
+      m.sites.resize(i);
+      m.sites.push_back(BindSite(addr));
+    }
+    const SiteInstruments& site = m.sites[i++];
+    site.hidden->Set(stats.useful);
+    site.blown->Set(stats.visits - stats.useful);
+    site.switch_cycles->Set(stats.switch_cycles_paid);
+    site.quarantined->Set(stats.quarantined ? 1.0 : 0.0);
   }
+}
+
+DualModeScheduler::SiteInstruments DualModeScheduler::BindSite(isa::Addr addr) {
+  obs::Labels site = metric_labels_;
+  site.emplace_back("site", StrFormat("0x%llx",
+      static_cast<unsigned long long>(OriginalSiteOf(addr))));
+  obs::Labels hidden = site;
+  hidden.emplace_back("outcome", "hidden");
+  obs::Labels blown = site;
+  blown.emplace_back("outcome", "blown");
+  return SiteInstruments{
+      addr,
+      metrics_->GetCounter("yh_sched_site_yields_total", hidden),
+      metrics_->GetCounter("yh_sched_site_yields_total", blown),
+      metrics_->GetCounter("yh_sched_site_switch_cycles_total", site),
+      metrics_->GetGauge("yh_sched_site_quarantined", site)};
 }
 
 void DualModeScheduler::SetScavengerPoolCap(size_t max_scavengers) {
@@ -386,18 +416,28 @@ int DualModeScheduler::SpawnScavenger() {
   return static_cast<int>(slot);
 }
 
-int DualModeScheduler::AcquireScavenger(const std::vector<bool>* ran_this_burst) {
-  auto skip = [&](size_t idx) {
-    return scavengers_[idx].ctx.halted ||
-           (ran_this_burst != nullptr && idx < ran_this_burst->size() &&
-            (*ran_this_burst)[idx]);
-  };
-  for (size_t i = 0; i < scavengers_.size(); ++i) {
-    const size_t idx = (scavenger_cursor_ + i) % scavengers_.size();
-    if (!skip(idx)) {
-      scavenger_cursor_ = (idx + 1) % scavengers_.size();
-      return static_cast<int>(idx);
+int DualModeScheduler::AcquireScavenger() {
+  // Probes each pool slot once, round-robin from the cursor, and takes the
+  // first one `usable` accepts. The cursor stays below the pool size, so it
+  // wraps with a compare.
+  auto probe = [this](auto usable) {
+    const size_t n = scavengers_.size();
+    size_t idx = scavenger_cursor_;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t next = idx + 1 == n ? 0 : idx + 1;
+      if (usable(scavengers_[idx])) {
+        scavenger_cursor_ = next;
+        return static_cast<int>(idx);
+      }
+      idx = next;
     }
+    return -1;
+  };
+  const int fresh = probe([this](const Scavenger& scavenger) {
+    return !scavenger.ctx.halted && scavenger.last_burst != burst_serial_;
+  });
+  if (fresh >= 0) {
+    return fresh;
   }
   // Every pool member already ran this burst (or halted): scale the pool on
   // demand so the chain keeps consuming fresh cycles instead of resuming a
@@ -407,14 +447,7 @@ int DualModeScheduler::AcquireScavenger(const std::vector<bool>* ran_this_burst)
     return spawned;
   }
   // Pool at its cap: wrap to the least-recently-run live scavenger.
-  for (size_t i = 0; i < scavengers_.size(); ++i) {
-    const size_t idx = (scavenger_cursor_ + i) % scavengers_.size();
-    if (!scavengers_[idx].ctx.halted) {
-      scavenger_cursor_ = (idx + 1) % scavengers_.size();
-      return static_cast<int>(idx);
-    }
-  }
-  return -1;
+  return probe([](const Scavenger& scavenger) { return !scavenger.ctx.halted; });
 }
 
 Result<DualModeReport> DualModeScheduler::Run() {
@@ -447,10 +480,10 @@ void DualModeScheduler::BeginRun() {
 // hand back. Returns an error status only on executor errors.
 Status DualModeScheduler::RunScavengerBurst() {
   ++report_.bursts;
-    // Which pool members already ran in this burst; a chain prefers unvisited
-    // scavengers so nobody is resumed into its own in-flight prefetch.
-    std::vector<bool> ran(scavengers_.size(), false);
-    int idx = AcquireScavenger(&ran);
+    // A new burst number: a chain prefers scavengers not yet stamped with it,
+    // so nobody is resumed into its own in-flight prefetch.
+    ++burst_serial_;
+    int idx = AcquireScavenger();
     if (idx < 0) {
       ++report_.bursts_starved;
       machine_->AdvanceClock(kSelfResumeCycles);
@@ -478,10 +511,7 @@ Status DualModeScheduler::RunScavengerBurst() {
         return ResourceExhaustedError("dual-mode run exceeded instruction budget");
       }
       Scavenger& scavenger = scavengers_[idx];
-      if (static_cast<size_t>(idx) >= ran.size()) {
-        ran.resize(idx + 1, false);
-      }
-      ran[idx] = true;
+      scavenger.last_burst = burst_serial_;
       const isa::Addr ip = scavenger.ctx.pc;
       const sim::StepResult step =
           scavenger_executor_.Step(scavenger.ctx, sim::StallPolicy::kBlocking);
@@ -542,7 +572,7 @@ Status DualModeScheduler::RunScavengerBurst() {
           end_burst(false);
           return Status::Ok();
         }
-        const int halted_next = AcquireScavenger(&ran);
+        const int halted_next = AcquireScavenger();
         if (halted_next < 0) {
           end_burst(true);
           return Status::Ok();
@@ -576,7 +606,7 @@ Status DualModeScheduler::RunScavengerBurst() {
         return Status::Ok();
       }
       // A primary-phase yield hit "too early": chain to another scavenger.
-      const int next = AcquireScavenger(&ran);
+      const int next = AcquireScavenger();
       if (next < 0) {
         end_burst(true);
         return Status::Ok();
@@ -726,8 +756,11 @@ Result<size_t> DualModeScheduler::RunTasks(size_t max_tasks) {
     report_.run.stall_cycles += primary.stall_cycles;
     report_.run.switch_cycles += primary.switch_cycles;
     if (metrics_ != nullptr) {
-      metrics_->GetHistogram("yh_sched_primary_latency_cycles", metric_labels_)
-          ->Record(machine_->now() - task_start);
+      if (instruments_.primary_latency == nullptr) {
+        instruments_.primary_latency = metrics_->GetHistogram(
+            "yh_sched_primary_latency_cycles", metric_labels_);
+      }
+      instruments_.primary_latency->Record(machine_->now() - task_start);
     }
     in_task_ = false;
     // Safe point: charge the flight recorder's and profiler's modeled costs

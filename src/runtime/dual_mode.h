@@ -20,6 +20,7 @@
 #ifndef YIELDHIDE_SRC_RUNTIME_DUAL_MODE_H_
 #define YIELDHIDE_SRC_RUNTIME_DUAL_MODE_H_
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
@@ -268,6 +269,33 @@ class DualModeScheduler {
   struct Scavenger {
     sim::CpuContext ctx;
     bool exhausted = false;  // halted and not replaced
+    // burst_serial_ of the last burst this slot ran in (0 = none yet).
+    uint64_t last_burst = 0;
+  };
+
+  // One yield site's per-site series (PublishMetrics), for the site_stats
+  // entry keyed by `addr`.
+  struct SiteInstruments {
+    isa::Addr addr = 0;
+    obs::Counter* hidden = nullptr;
+    obs::Counter* blown = nullptr;
+    obs::Counter* switch_cycles = nullptr;
+    obs::Gauge* quarantined = nullptr;
+  };
+  static constexpr size_t kNumReportCounters = 14;
+  // The registry instruments of the current SetObservability /
+  // SetMetricsLabels binding. Looked up at the first publish after the
+  // binding changes (counters[0] == nullptr until then); `sites` follows
+  // report_.site_stats in iteration order and is re-looked-up from the first
+  // entry whose key moved (and wholesale after a swap remaps the sites).
+  struct Instruments {
+    std::array<obs::Counter*, kNumReportCounters> counters{};
+    obs::Counter* trace_overhead_cycles = nullptr;  // with a recorder only
+    obs::Gauge* pool_cap = nullptr;
+    obs::Gauge* scavengers_live = nullptr;
+    // Created at the first task completion, not at the first publish.
+    LatencyHistogram* primary_latency = nullptr;
+    std::vector<SiteInstruments> sites;
   };
 
   uint32_t SwitchCostAt(const instrument::InstrumentedProgram& binary,
@@ -283,7 +311,7 @@ class DualModeScheduler {
   // yet run in the current burst (so a chain never resumes a coroutine into
   // its own in-flight prefetch), spawning a new one on demand when the burst
   // would otherwise wrap — the paper's on-demand scaling of the pool.
-  int AcquireScavenger(const std::vector<bool>* ran_this_burst = nullptr);
+  int AcquireScavenger();
   // Installs a fresh factory context into a pool slot and returns its index,
   // or -1 (no factory, factory dry, or pool full of LIVE scavengers). At the
   // cap an EXHAUSTED slot is reused: a slot whose factory came up dry at halt
@@ -302,6 +330,8 @@ class DualModeScheduler {
   isa::Addr OriginalSiteOf(isa::Addr yield_addr) const;
   // Publishes the report's aggregates into the registry (safe points only).
   void PublishMetrics();
+  // Looks up the per-site series of the site_stats entry `addr`.
+  SiteInstruments BindSite(isa::Addr addr);
   // Charges the recorder's accumulated modeled capture cost to the clock.
   void ChargeTraceOverhead();
   // Charges the profiler's modeled accounting cost to the clock.
@@ -328,7 +358,12 @@ class DualModeScheduler {
   ScavengerSpawnHook spawn_hook_;
   ScavengerRetireHook retire_hook_;
   std::vector<Scavenger> scavengers_;
+  // Next pool slot to probe; always < scavengers_.size() once the pool is
+  // non-empty.
   size_t scavenger_cursor_ = 0;
+  // Numbers the scavenger bursts (never reset, so a stale last_burst stamp
+  // can never match the current burst).
+  uint64_t burst_serial_ = 0;
   std::map<isa::Addr, YieldSiteStats> seeded_site_stats_;
   bool in_task_ = false;
   // Incremental-run state: BeginRun() has run and Finalize() has not.
@@ -339,6 +374,7 @@ class DualModeScheduler {
   obs::TraceRecorder* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Labels metric_labels_;
+  Instruments instruments_;
   obs::CycleProfiler* profiler_ = nullptr;
   obs::SpanCollector* spans_ = nullptr;
   // kPrimary yield address in the current primary binary -> original-binary

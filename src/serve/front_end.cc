@@ -119,6 +119,8 @@ ShardFrontEnd::ShardFrontEnd(const FrontEndConfig& config, Handler handler,
 void ShardFrontEnd::SetPipelines(StagePipeline ingress, StagePipeline egress) {
   ingress_ = std::move(ingress);
   egress_ = std::move(egress);
+  ingress_stage_counters_.clear();
+  egress_stage_counters_.clear();
 }
 
 void ShardFrontEnd::SetTenantHandler(size_t tenant, Handler handler) {
@@ -241,11 +243,9 @@ void ShardFrontEnd::RecordCompletion(sim::Machine& machine,
     ++tenant.counters.completed_primary;
   }
   if (metrics_ != nullptr) {
-    metrics_->GetHistogram("yh_serve_latency_cycles", labels_)
-        ->Record(latency);
+    RecordLatency(labels_, latency, instruments_);
     if (multi_tenant_) {
-      metrics_->GetHistogram("yh_serve_latency_cycles", tenant.labels)
-          ->Record(latency);
+      RecordLatency(tenant.labels, latency, tenant.instruments);
     }
   }
   if (YH_TRACE_ENABLED(trace_, obs::kTraceServe)) {
@@ -607,62 +607,75 @@ void ShardFrontEnd::PublishMetrics() {
   if (metrics_ == nullptr) {
     return;
   }
-  metrics_->GetCounter("yh_serve_offered_total", labels_)
-      ->Set(counters_.offered);
-  metrics_->GetCounter("yh_serve_admitted_total", labels_)
-      ->Set(counters_.admitted);
-  metrics_->GetCounter("yh_serve_shed_total", labels_)->Set(counters_.shed);
-  metrics_->GetCounter("yh_serve_completed_total", labels_)
-      ->Set(counters_.completed);
-  metrics_->GetCounter("yh_serve_requeued_total", labels_)
-      ->Set(counters_.requeued);
-  metrics_->GetGauge("yh_serve_queue_depth", labels_)
-      ->Set(static_cast<double>(QueuedTotal()));
-  if (latency_.count() > 0) {
-    metrics_->GetGauge("yh_serve_latency_p50", labels_)
-        ->Set(static_cast<double>(latency_.P50()));
-    metrics_->GetGauge("yh_serve_latency_p99", labels_)
-        ->Set(static_cast<double>(latency_.P99()));
-    metrics_->GetGauge("yh_serve_latency_p999", labels_)
-        ->Set(static_cast<double>(latency_.ValueAtQuantile(0.999)));
-  }
+  PublishSeries(labels_, counters_, QueuedTotal(), latency_, instruments_);
   if (multi_tenant_) {
-    for (const TenantState& tenant : tenants_) {
-      metrics_->GetCounter("yh_serve_offered_total", tenant.labels)
-          ->Set(tenant.counters.offered);
-      metrics_->GetCounter("yh_serve_admitted_total", tenant.labels)
-          ->Set(tenant.counters.admitted);
-      metrics_->GetCounter("yh_serve_shed_total", tenant.labels)
-          ->Set(tenant.counters.shed);
-      metrics_->GetCounter("yh_serve_completed_total", tenant.labels)
-          ->Set(tenant.counters.completed);
-      metrics_->GetCounter("yh_serve_requeued_total", tenant.labels)
-          ->Set(tenant.counters.requeued);
-      metrics_->GetGauge("yh_serve_queue_depth", tenant.labels)
-          ->Set(static_cast<double>(tenant.queue.size()));
-      if (tenant.latency.count() > 0) {
-        metrics_->GetGauge("yh_serve_latency_p50", tenant.labels)
-            ->Set(static_cast<double>(tenant.latency.P50()));
-        metrics_->GetGauge("yh_serve_latency_p99", tenant.labels)
-            ->Set(static_cast<double>(tenant.latency.P99()));
-        metrics_->GetGauge("yh_serve_latency_p999", tenant.labels)
-            ->Set(static_cast<double>(
-                tenant.latency.ValueAtQuantile(0.999)));
-      }
+    for (TenantState& tenant : tenants_) {
+      PublishSeries(tenant.labels, tenant.counters, tenant.queue.size(),
+                    tenant.latency, tenant.instruments);
     }
   }
-  for (const auto& [stage, cycles] : ingress_.stage_cycles()) {
-    metrics_
-        ->GetCounter("yh_serve_stage_cycles_total",
-                     obs::LabelSet(labels_).Stage(stage).Build())
-        ->Set(cycles);
+  // Ingress first: a stage name in both pipelines ends on the egress total.
+  PublishStages(ingress_, ingress_stage_counters_);
+  PublishStages(egress_, egress_stage_counters_);
+}
+
+void ShardFrontEnd::PublishSeries(const obs::Labels& labels,
+                                  const FrontEndCounters& counters,
+                                  size_t queued,
+                                  const obs::SparseHistogram& latency,
+                                  ServeInstruments& m) {
+  if (m.offered == nullptr) {
+    m.offered = metrics_->GetCounter("yh_serve_offered_total", labels);
+    m.admitted = metrics_->GetCounter("yh_serve_admitted_total", labels);
+    m.shed = metrics_->GetCounter("yh_serve_shed_total", labels);
+    m.completed = metrics_->GetCounter("yh_serve_completed_total", labels);
+    m.requeued = metrics_->GetCounter("yh_serve_requeued_total", labels);
+    m.queue_depth = metrics_->GetGauge("yh_serve_queue_depth", labels);
   }
-  for (const auto& [stage, cycles] : egress_.stage_cycles()) {
-    metrics_
-        ->GetCounter("yh_serve_stage_cycles_total",
-                     obs::LabelSet(labels_).Stage(stage).Build())
-        ->Set(cycles);
+  m.offered->Set(counters.offered);
+  m.admitted->Set(counters.admitted);
+  m.shed->Set(counters.shed);
+  m.completed->Set(counters.completed);
+  m.requeued->Set(counters.requeued);
+  m.queue_depth->Set(static_cast<double>(queued));
+  if (latency.count() == 0) {
+    return;
   }
+  if (m.latency_p50 == nullptr) {
+    m.latency_p50 = metrics_->GetGauge("yh_serve_latency_p50", labels);
+    m.latency_p99 = metrics_->GetGauge("yh_serve_latency_p99", labels);
+    m.latency_p999 = metrics_->GetGauge("yh_serve_latency_p999", labels);
+  }
+  m.latency_p50->Set(static_cast<double>(latency.P50()));
+  m.latency_p99->Set(static_cast<double>(latency.P99()));
+  m.latency_p999->Set(static_cast<double>(latency.ValueAtQuantile(0.999)));
+}
+
+void ShardFrontEnd::PublishStages(const StagePipeline& pipeline,
+                                  std::vector<obs::Counter*>& bound) {
+  // stage_cycles() only gains entries, so an unchanged size means unchanged
+  // stages.
+  const std::map<std::string, uint64_t>& stage_cycles = pipeline.stage_cycles();
+  if (bound.size() != stage_cycles.size()) {
+    bound.clear();
+    for (const auto& [stage, cycles] : stage_cycles) {
+      bound.push_back(
+          metrics_->GetCounter("yh_serve_stage_cycles_total",
+                               obs::LabelSet(labels_).Stage(stage).Build()));
+    }
+  }
+  size_t i = 0;
+  for (const auto& [stage, cycles] : stage_cycles) {
+    bound[i++]->Set(cycles);
+  }
+}
+
+void ShardFrontEnd::RecordLatency(const obs::Labels& labels, uint64_t latency,
+                                  ServeInstruments& m) {
+  if (m.latency == nullptr) {
+    m.latency = metrics_->GetHistogram("yh_serve_latency_cycles", labels);
+  }
+  m.latency->Record(latency);
 }
 
 }  // namespace yieldhide::serve

@@ -204,6 +204,24 @@ class ShardFrontEnd : public adapt::RequestSource {
     size_t tenant = 0;  // index into tenants_
   };
 
+  // One label set's yh_serve_* instruments: the shard aggregate or one
+  // tenant. Each group is looked up the first time it is published, since a
+  // series must not exist before then: the counters at the first publish,
+  // the quantile gauges once the latency histogram has samples, and the
+  // latency histogram at the first completion.
+  struct ServeInstruments {
+    obs::Counter* offered = nullptr;
+    obs::Counter* admitted = nullptr;
+    obs::Counter* shed = nullptr;
+    obs::Counter* completed = nullptr;
+    obs::Counter* requeued = nullptr;
+    obs::Gauge* queue_depth = nullptr;
+    obs::Gauge* latency_p50 = nullptr;
+    obs::Gauge* latency_p99 = nullptr;
+    obs::Gauge* latency_p999 = nullptr;
+    LatencyHistogram* latency = nullptr;
+  };
+
   // Per-tenant serving state: arrivals, weighted queue room, ledger.
   struct TenantState {
     TenantSpec spec;
@@ -216,6 +234,7 @@ class ShardFrontEnd : public adapt::RequestSource {
     Handler handler;  // empty = use the shared handler_
     obs::SloEvaluator* slo = nullptr;
     obs::Labels labels;  // base labels + tenant= (multi-tenant only)
+    ServeInstruments instruments;  // published in multi-tenant configs only
     bool demoted = false;  // quarantined: scavenger-only while others active
 
     explicit TenantState(const TenantSpec& s, const ArrivalConfig& arrival)
@@ -238,6 +257,17 @@ class ShardFrontEnd : public adapt::RequestSource {
   // ingress or sheds against the tenant's weighted room.
   void AdmitDue(sim::Machine& machine);
   void PublishMetrics();
+  // Publishes one label set's counters, queue depth and latency quantiles.
+  void PublishSeries(const obs::Labels& labels, const FrontEndCounters& counters,
+                     size_t queued, const obs::SparseHistogram& latency,
+                     ServeInstruments& instruments);
+  // Publishes a pipeline's per-stage cycle totals; `bound` holds one counter
+  // per stage_cycles() entry and is re-looked-up whenever a stage appears.
+  void PublishStages(const StagePipeline& pipeline,
+                     std::vector<obs::Counter*>& bound);
+  // Records one end-to-end latency into a yh_serve_latency_cycles series.
+  void RecordLatency(const obs::Labels& labels, uint64_t latency,
+                     ServeInstruments& instruments);
   void RecordCompletion(sim::Machine& machine, const Request& request,
                         bool scavenged);
   // The earliest pending arrival across tenants (nullopt = streams done).
@@ -277,6 +307,9 @@ class ShardFrontEnd : public adapt::RequestSource {
   obs::TraceRecorder* trace_;
   obs::MetricsRegistry* metrics_;
   obs::Labels labels_;
+  ServeInstruments instruments_;  // the shard aggregate series
+  std::vector<obs::Counter*> ingress_stage_counters_;
+  std::vector<obs::Counter*> egress_stage_counters_;
   obs::SpanCollector* spans_ = nullptr;
   obs::SloEvaluator* slo_ = nullptr;
 };

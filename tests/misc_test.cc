@@ -3,6 +3,10 @@
 // helpers, and exact-stats summaries.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/core/pipeline.h"
 #include "src/runtime/report.h"
 #include "src/sim/exact_stats.h"
@@ -66,17 +70,46 @@ class CountingListener : public sim::EventListener {
   void OnYield(int, isa::Addr, bool, uint64_t) override { ++yields; }
 };
 
-TEST(MulticastListenerTest, FansOutEveryEventToEveryListener) {
-  sim::MulticastListener fanout;
-  CountingListener a, b;
-  fanout.Add(&a);
-  fanout.Add(&b);
+// Logs every call it receives as "<name>:<event>" into a shared journal.
+class JournalListener : public sim::EventListener {
+ public:
+  JournalListener(std::string name, uint32_t events, std::vector<std::string>* journal)
+      : name_(std::move(name)), events_(events), journal_(journal) {}
+  uint32_t Events() const override { return events_; }
+  void OnRetired(int, isa::Addr, isa::Opcode, uint64_t) override { Log("retired"); }
+  void OnLoad(int, isa::Addr, uint64_t, sim::HitLevel, bool, uint32_t,
+              uint64_t) override {
+    Log("load");
+  }
+  void OnStall(int, isa::Addr, uint32_t, uint64_t) override { Log("stall"); }
+  void OnBranch(int, isa::Addr, isa::Addr, bool, uint64_t) override { Log("branch"); }
+  void OnPrefetch(int, isa::Addr, uint64_t, uint64_t) override { Log("prefetch"); }
+  void OnYield(int, isa::Addr, bool, uint64_t) override { Log("yield"); }
+
+ private:
+  void Log(const char* event) { journal_->push_back(name_ + ":" + event); }
+
+  std::string name_;
+  uint32_t events_;
+  std::vector<std::string>* journal_;
+};
+
+void FireAllSix(sim::MulticastListener& fanout) {
   fanout.OnRetired(0, 1, isa::Opcode::kNop, 0);
   fanout.OnLoad(0, 1, 0, sim::HitLevel::kL1, false, 0, 0);
   fanout.OnStall(0, 1, 5, 0);
   fanout.OnBranch(0, 1, 2, true, 0);
   fanout.OnPrefetch(0, 1, 0, 0);
   fanout.OnYield(0, 1, false, 0);
+}
+
+TEST(MulticastListenerTest, FansOutEveryEventToEveryListener) {
+  sim::MulticastListener fanout;
+  CountingListener a, b;  // the default Events(): all six
+  EXPECT_EQ(a.Events(), static_cast<uint32_t>(sim::kAllEvents));
+  fanout.Add(&a);
+  fanout.Add(&b);
+  FireAllSix(fanout);
   for (const CountingListener* l : {&a, &b}) {
     EXPECT_EQ(l->retired, 1);
     EXPECT_EQ(l->loads, 1);
@@ -88,6 +121,57 @@ TEST(MulticastListenerTest, FansOutEveryEventToEveryListener) {
   EXPECT_EQ(fanout.size(), 2u);
   fanout.Clear();
   EXPECT_EQ(fanout.size(), 0u);
+}
+
+TEST(MulticastListenerTest, DeliversOnlyTheDeclaredEventsInRegistrationOrder) {
+  std::vector<std::string> journal;
+  JournalListener loads("loads", sim::kEventLoad, &journal);
+  JournalListener all("all", sim::kAllEvents, &journal);
+  JournalListener branch_yield("by", sim::kEventBranch | sim::kEventYield, &journal);
+  JournalListener none("none", 0, &journal);
+  sim::MulticastListener fanout;
+  fanout.Add(&branch_yield);
+  fanout.Add(&loads);
+  fanout.Add(&none);
+  fanout.Add(&all);
+  fanout.Add(&loads);  // twice: called twice, in both positions
+  EXPECT_EQ(fanout.size(), 5u);
+  FireAllSix(fanout);
+  const std::vector<std::string> expected = {
+      "all:retired",                                        //
+      "loads:load",   "all:load",     "loads:load",         //
+      "all:stall",                                          //
+      "by:branch",    "all:branch",                         //
+      "all:prefetch",                                       //
+      "by:yield",     "all:yield",
+  };
+  EXPECT_EQ(journal, expected);
+}
+
+TEST(MulticastListenerTest, RemoveAndClearDropTheListenerFromEveryEvent) {
+  std::vector<std::string> journal;
+  JournalListener a("a", sim::kAllEvents, &journal);
+  JournalListener b("b", sim::kEventLoad | sim::kEventStall, &journal);
+  sim::MulticastListener fanout;
+  fanout.Add(&a);
+  fanout.Add(&b);
+  fanout.Add(&a);
+  fanout.Remove(&a);  // every registration of a
+  EXPECT_EQ(fanout.size(), 1u);
+  FireAllSix(fanout);
+  EXPECT_EQ(journal, (std::vector<std::string>{"b:load", "b:stall"}));
+
+  journal.clear();
+  fanout.Remove(&a);  // unknown: a no-op
+  fanout.Clear();
+  EXPECT_EQ(fanout.size(), 0u);
+  FireAllSix(fanout);
+  EXPECT_TRUE(journal.empty());
+
+  // Re-adding after Clear subscribes afresh.
+  fanout.Add(&b);
+  FireAllSix(fanout);
+  EXPECT_EQ(journal, (std::vector<std::string>{"b:load", "b:stall"}));
 }
 
 // --- ExactStats rendering ------------------------------------------------------------

@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # Checks that two builds produce the same simulated plane: runs every
 # bench_* binary with --json from both build trees and compares the JSON
-# files byte for byte.
+# files byte for byte, then runs a fixed set of yhc commands from both trees
+# and compares everything they write (stdout, stderr and any --out file).
 #
 #   tools/sim_identity.sh BUILD_A BUILD_B
 #
 # BUILD_A and BUILD_B are CMake build directories (e.g. the base of a change
-# and the change itself), each with its benches under bench/. Exits 0 when
-# every bench's JSON and exit status match, 1 on any difference, 2 on bad
-# usage. bench_n1_native_interleave is skipped: it times native runs on the
-# host, so its JSON varies between runs of one build.
+# and the change itself), each with its benches under bench/ and yhc under
+# tools/. Exits 0 when every bench's JSON, every yhc output and every exit
+# status match, 1 on any difference, 2 on bad usage.
+# bench_n1_native_interleave is skipped: it times native runs on the host, so
+# its JSON varies between runs of one build. Every listed yhc command is
+# deterministic run to run on one build.
 set -uo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -69,6 +72,48 @@ for name in "${benches[@]}"; do
     different=$((different + 1))
   else
     echo "same      ${name}"
+    same=$((same + 1))
+  fi
+done
+
+# The yhc commands, one argument list per line. Each runs in a directory of
+# its own, so an --out file lands next to its stdout and stderr.
+yhc_commands=(
+  "metrics --format both --out metrics.out"
+  "spans --json"
+  "slo --json"
+  "profile --json"
+  "why --json"
+  "serve --arrival poisson --rate 0.07 --duration 4000000 --seed 3 --tenant fg:fg:0.5:600000 --tenant bg:bg:0.5"
+)
+
+# Runs one yhc command from a build tree inside `out`. Prints the exit status.
+run_yhc() {
+  local build="$1" out="$2"
+  shift 2
+  if [[ ! -x "${build}/tools/yhc" ]]; then
+    echo "missing"
+    return
+  fi
+  mkdir -p "${out}"
+  (cd "${out}" && "${build}/tools/yhc" "$@" >stdout 2>stderr)
+  echo "$?"
+}
+
+for i in "${!yhc_commands[@]}"; do
+  read -r -a args <<<"${yhc_commands[$i]}"
+  label="yhc ${yhc_commands[$i]}"
+  status_a="$(run_yhc "${build_a}" "${work}/a/yhc_${i}" "${args[@]}")"
+  status_b="$(run_yhc "${build_b}" "${work}/b/yhc_${i}" "${args[@]}")"
+  if [[ "${status_a}" != "${status_b}" ]]; then
+    echo "DIFFERENT ${label}: exit status ${status_a} vs ${status_b}"
+    different=$((different + 1))
+  elif ! diff -r "${work}/a/yhc_${i}" "${work}/b/yhc_${i}" >/dev/null; then
+    diff -r "${work}/a/yhc_${i}" "${work}/b/yhc_${i}" | head -5
+    echo "DIFFERENT ${label}"
+    different=$((different + 1))
+  else
+    echo "same      ${label}"
     same=$((same + 1))
   fi
 done
