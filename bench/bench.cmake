@@ -6,7 +6,7 @@ function(yh_bench name)
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
   target_link_libraries(${name} PRIVATE
-    yh_serve yh_adapt yh_diff yh_core yh_faultinject yh_runtime yh_instrument
+    yh_scenario yh_serve yh_adapt yh_diff yh_core yh_faultinject yh_runtime yh_instrument
     yh_analysis yh_profile yh_profiler yh_pmu yh_obs yh_sim yh_workloads yh_coro
     yh_perfev yh_isa yh_common benchmark::benchmark Threads::Threads)
 endfunction()

@@ -17,7 +17,7 @@
 //   fresh    — binary re-profiled offline on TODAY'S mix (profile_first_task
 //              aimed at the drifted stream): the oracle the online loop is
 //              trying to reach without a maintenance window;
-//   adapt    — stale binary + AdaptiveServer: online re-profiling at low
+//   adapt    — stale binary + one adapting shard: online re-profiling at low
 //              sampling periods, drift scoring each 8-task epoch, rebuild +
 //              hot-swap at a safe point, occupancy-driven pool scaling.
 //
@@ -33,9 +33,8 @@
 #include <algorithm>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server.h"
-#include "src/isa/builder.h"
 #include "src/runtime/dual_mode.h"
+#include "src/scenario/scenario.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -47,32 +46,6 @@ constexpr uint64_t kChaseSteps = 400;
 constexpr double kSlowdownBound = 1.15;
 constexpr double kRecoveryFloor = 0.90;
 constexpr double kControlCeiling = 0.70;
-
-// Same compute-heavy scavenger kernel as R1/C5.
-instrument::InstrumentedProgram MakeScavengedBatch(const sim::MachineConfig& machine) {
-  isa::ProgramBuilder builder("alu_batch");
-  auto loop = builder.Here("loop");
-  for (int i = 0; i < 40; ++i) {
-    builder.Addi(3, 3, 1);
-    builder.Xor(4, 4, 3);
-  }
-  builder.Addi(2, 2, -1);
-  builder.Bne(2, 0, loop);
-  builder.Halt();
-  instrument::InstrumentedProgram input;
-  input.program = std::move(builder).Build().value();
-  instrument::ScavengerConfig config;
-  config.target_interval_cycles = 300;
-  config.machine_cost = machine.cost;
-  config.cost_model = instrument::YieldCostModel::FromMachine(machine.cost);
-  return instrument::RunScavengerPass(input, nullptr, config).value().instrumented;
-}
-
-runtime::DualModeScheduler::ScavengerFactory BatchFactory() {
-  return []() -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-    return [](sim::CpuContext& ctx) { ctx.regs[2] = 1'000'000; };
-  };
-}
 
 struct BaselineOutcome {
   bool ok = false;
@@ -113,51 +86,21 @@ BaselineOutcome RunBaseline(const workloads::PhasedChase& chase,
   return out;
 }
 
-// One AdaptiveServer run over the request stream. `adapting` false = control
-// mode (drift is still scored for the table, nothing acts on it).
+// One single-shard serving run over the request stream. `adapting` false =
+// control mode (drift is still scored for the table, nothing acts on it).
 Result<adapt::AdaptReport> RunServer(const workloads::PhasedChase& chase,
                                      const core::PipelineArtifacts& artifacts,
                                      const instrument::InstrumentedProgram& batch,
-                                     const sim::MachineConfig& machine_config,
                                      const core::PipelineConfig& rebuild_pipeline,
                                      bool adapting) {
-  sim::Machine machine(machine_config);
-  chase.InitMemory(machine.memory());
-  adapt::AdaptiveServerConfig config;
-  config.controller.pipeline = rebuild_pipeline;
-  config.tasks_per_epoch = kTasksPerEpoch;
-  config.adapt_enabled = adapting;
-  config.scale_pool = adapting;
-  config.charge_sampling_overhead = adapting;
-  config.dual.max_scavengers = 4;
-  config.dual.hide_window_cycles = 300;
-  adapt::AdaptiveServer server(&chase.program(), artifacts, &machine, config);
-  server.SetScavengerBinary(&batch);  // unrelated batch job: never swapped
-  server.SetScavengerFactory(BatchFactory());
-  for (int i = 0; i < kRequests; ++i) {
-    server.AddTask(chase.SetupFor(i));
-  }
-  return server.Run();
-}
-
-// Issue-weighted mean efficiency of the epochs after the last swap (all
-// epochs when the run never swapped).
-double SteadyStateEfficiency(const adapt::AdaptReport& report) {
-  size_t first = 0;
-  for (size_t i = 0; i < report.epochs.size(); ++i) {
-    if (report.epochs[i].swapped) {
-      first = i + 1;
-    }
-  }
-  if (first >= report.epochs.size()) {
-    first = report.epochs.empty() ? 0 : report.epochs.size() - 1;
-  }
-  double cycles = 0.0, issue = 0.0;
-  for (size_t i = first; i < report.epochs.size(); ++i) {
-    cycles += static_cast<double>(report.epochs[i].cycles);
-    issue += report.epochs[i].efficiency * static_cast<double>(report.epochs[i].cycles);
-  }
-  return cycles > 0.0 ? issue / cycles : 0.0;
+  scenario::Spec spec = BatchServingSpec(chase, artifacts, batch,
+                                         rebuild_pipeline, 1, kRequests,
+                                         kTasksPerEpoch);
+  spec.group.shard.adapt_enabled = adapting;
+  spec.group.shard.scale_pool = adapting;
+  spec.group.shard.charge_sampling_overhead = adapting;
+  YH_ASSIGN_OR_RETURN(scenario::Outcome outcome, scenario::Run(spec));
+  return std::move(outcome.report.shards[0]);
 }
 
 }  // namespace
@@ -213,11 +156,11 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    auto control = RunServer(chase, stale, batch, machine_config, stale_pipeline,
+    auto control = RunServer(chase, stale, batch, stale_pipeline,
                              /*adapting=*/false);
-    auto fresh = RunServer(chase, fresh_artifacts.value(), batch, machine_config,
-                           stale_pipeline, /*adapting=*/false);
-    auto adapting = RunServer(chase, stale, batch, machine_config, stale_pipeline,
+    auto fresh = RunServer(chase, fresh_artifacts.value(), batch, stale_pipeline,
+                           /*adapting=*/false);
+    auto adapting = RunServer(chase, stale, batch, stale_pipeline,
                               /*adapting=*/true);
     if (!control.ok() || !fresh.ok() || !adapting.ok()) {
       std::fprintf(stderr, "severity %.1f: run failed: %s\n", severity,

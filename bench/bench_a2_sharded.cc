@@ -28,15 +28,12 @@
 //      efficiency beats the cold run's epoch-0).
 #include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <set>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server.h"
-#include "src/isa/builder.h"
 #include "src/runtime/annotate.h"
 #include "src/runtime/dual_mode.h"
+#include "src/scenario/scenario.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -48,42 +45,6 @@ constexpr int kTasksPerEpoch = 4;
 constexpr uint64_t kChaseSteps = 400;
 constexpr double kRecoveryFloor = 0.90;  // the A1 bar, per shard
 constexpr double kAppearanceCeiling = 0.05;
-
-// Same compute-heavy scavenger kernel as A1/R1/C5.
-instrument::InstrumentedProgram MakeScavengedBatch(
-    const sim::MachineConfig& machine) {
-  isa::ProgramBuilder builder("alu_batch");
-  auto loop = builder.Here("loop");
-  for (int i = 0; i < 40; ++i) {
-    builder.Addi(3, 3, 1);
-    builder.Xor(4, 4, 3);
-  }
-  builder.Addi(2, 2, -1);
-  builder.Bne(2, 0, loop);
-  builder.Halt();
-  instrument::InstrumentedProgram input;
-  input.program = std::move(builder).Build().value();
-  instrument::ScavengerConfig config;
-  config.target_interval_cycles = 300;
-  config.machine_cost = machine.cost;
-  config.cost_model = instrument::YieldCostModel::FromMachine(machine.cost);
-  return instrument::RunScavengerPass(input, nullptr, config).value().instrumented;
-}
-
-runtime::DualModeScheduler::ScavengerFactory BatchFactory() {
-  return []() -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-    return [](sim::CpuContext& ctx) { ctx.regs[2] = 1'000'000; };
-  };
-}
-
-adapt::AdaptiveServerConfig ShardConfig(const core::PipelineConfig& pipeline) {
-  adapt::AdaptiveServerConfig config;
-  config.controller.pipeline = pipeline;
-  config.tasks_per_epoch = kTasksPerEpoch;
-  config.dual.max_scavengers = 4;
-  config.dual.hide_window_cycles = 300;
-  return config;
-}
 
 // Uninstrumented original, primary alone: the efficiency floor every
 // recovery fraction is measured from.
@@ -103,93 +64,36 @@ Result<double> BaselineEfficiency(const workloads::PhasedChase& chase,
   return report.CpuEfficiency();
 }
 
-// One single-shard AdaptiveServer run over task indices [first, first+n):
-// the independent-profiles baseline the shared store must beat, and the
+// One single-shard run over task indices [first, first+n): the
+// independent-profiles baseline the shared store must beat, and the
 // fresh-profile oracle runner.
 Result<adapt::AdaptReport> RunIndependent(
     const workloads::PhasedChase& chase,
     const core::PipelineArtifacts& artifacts,
     const instrument::InstrumentedProgram& batch,
     const core::PipelineConfig& pipeline, int first, bool adapting) {
-  sim::Machine machine(pipeline.machine);
-  chase.InitMemory(machine.memory());
-  adapt::AdaptiveServerConfig config = ShardConfig(pipeline);
-  config.adapt_enabled = adapting;
-  config.scale_pool = adapting;
-  adapt::AdaptiveServer server(&chase.program(), artifacts, &machine, config);
-  server.SetScavengerBinary(&batch);
-  server.SetScavengerFactory(BatchFactory());
-  for (int i = 0; i < kRequestsPerShard; ++i) {
-    server.AddTask(chase.SetupFor(first + i));
-  }
-  return server.Run();
+  scenario::Spec spec = BatchServingSpec(chase, artifacts, batch, pipeline, 1,
+                                         kRequestsPerShard, kTasksPerEpoch);
+  spec.group.shard.adapt_enabled = adapting;
+  spec.group.shard.scale_pool = adapting;
+  spec.load.first_task = first;
+  YH_ASSIGN_OR_RETURN(scenario::Outcome outcome, scenario::Run(spec));
+  return std::move(outcome.report.shards[0]);
 }
 
-struct GroupOutcome {
-  adapt::GroupReport report;
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-};
-
-// One ServerGroup run: shard s serves task indices [s*n, (s+1)*n) on its own
-// machine; the merged store is persisted to `store_path` when non-empty.
-Result<GroupOutcome> RunGroup(const workloads::PhasedChase& chase,
-                              const core::PipelineArtifacts& artifacts,
-                              const instrument::InstrumentedProgram& batch,
-                              const core::PipelineConfig& pipeline,
-                              size_t shards, const std::string& store_path) {
-  GroupOutcome out;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (size_t s = 0; s < shards; ++s) {
-    out.machines.push_back(std::make_unique<sim::Machine>(pipeline.machine));
-    chase.InitMemory(out.machines.back()->memory());
-    machine_ptrs.push_back(out.machines.back().get());
-  }
-  adapt::ServerGroupConfig config;
-  config.shards = shards;
-  config.shard = ShardConfig(pipeline);
-  config.profile_path = store_path;
-  adapt::ServerGroup group(&chase.program(), artifacts, machine_ptrs, config);
-  for (size_t s = 0; s < shards; ++s) {
-    for (int i = 0; i < kRequestsPerShard; ++i) {
-      group.AddTask(s, chase.SetupFor(static_cast<int>(s) * kRequestsPerShard + i));
-    }
-    group.SetScavengerBinary(s, &batch);
-    group.SetScavengerFactory(s, BatchFactory());
-  }
-  YH_ASSIGN_OR_RETURN(out.report, group.Run());
-  return out;
-}
-
-// Issue-weighted mean efficiency of the epochs after the last swap (same
-// definition as A1).
-double SteadyStateEfficiency(const adapt::AdaptReport& report) {
-  size_t first = 0;
-  for (size_t i = 0; i < report.epochs.size(); ++i) {
-    if (report.epochs[i].swapped) {
-      first = i + 1;
-    }
-  }
-  if (first >= report.epochs.size()) {
-    first = report.epochs.empty() ? 0 : report.epochs.size() - 1;
-  }
-  double cycles = 0.0, issue = 0.0;
-  for (size_t i = first; i < report.epochs.size(); ++i) {
-    cycles += static_cast<double>(report.epochs[i].cycles);
-    issue += report.epochs[i].efficiency *
-             static_cast<double>(report.epochs[i].cycles);
-  }
-  return cycles > 0.0 ? issue / cycles : 0.0;
-}
-
-size_t OverlappingSwapEpochs(const adapt::GroupReport& report) {
-  std::set<size_t> seen;
-  size_t overlaps = 0;
-  for (const auto& [epoch, shard] : report.swap_log) {
-    if (!seen.insert(epoch).second) {
-      ++overlaps;
-    }
-  }
-  return overlaps;
+// One group run; the merged store is persisted to `store_path` when
+// non-empty.
+Result<scenario::Outcome> RunGroup(const workloads::PhasedChase& chase,
+                                   const core::PipelineArtifacts& artifacts,
+                                   const instrument::InstrumentedProgram& batch,
+                                   const core::PipelineConfig& pipeline,
+                                   size_t shards,
+                                   const std::string& store_path) {
+  scenario::Spec spec =
+      BatchServingSpec(chase, artifacts, batch, pipeline, shards,
+                       kRequestsPerShard, kTasksPerEpoch);
+  spec.group.profile_path = store_path;
+  return scenario::Run(spec);
 }
 
 double MeanFirstEpochEfficiency(const adapt::GroupReport& report) {
@@ -202,21 +106,6 @@ double MeanFirstEpochEfficiency(const adapt::GroupReport& report) {
     }
   }
   return counted > 0 ? sum / static_cast<double>(counted) : 0.0;
-}
-
-int CountCorrect(const workloads::PhasedChase& chase,
-                 const GroupOutcome& outcome, size_t shards) {
-  int correct = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    for (int i = 0; i < kRequestsPerShard; ++i) {
-      const int index = static_cast<int>(s) * kRequestsPerShard + i;
-      if (chase.ReadResult(outcome.machines[s]->memory(), index) ==
-          chase.ExpectedResult(index)) {
-        ++correct;
-      }
-    }
-  }
-  return correct;
 }
 
 }  // namespace
@@ -320,7 +209,7 @@ int main(int argc, char** argv) {
       independent_rebuilds, converges ? "shared store converges faster" : "FAIL");
   std::printf("  swap overlaps: %zu (%s)\n", overlaps,
               overlaps == 0 ? "stagger holds" : "FAIL");
-  const int correct1 = CountCorrect(chase, cold.value(), kShards);
+  const int correct1 = cold->correct_results;
   all_pass = all_pass && correct1 == static_cast<int>(kShards) * kRequestsPerShard;
   std::printf("  results: %d/%d correct\n\n", correct1,
               static_cast<int>(kShards) * kRequestsPerShard);
@@ -359,7 +248,7 @@ int main(int argc, char** argv) {
       max_divergence = std::max(max_divergence, e.drift_divergence);
     }
   }
-  const int correct2 = CountCorrect(zipf_chase, zipf.value(), 2);
+  const int correct2 = zipf->correct_results;
   const bool zipf_pass = zipf_all_swapped &&
                          max_appearance <= kAppearanceCeiling &&
                          max_divergence > 0.0 &&

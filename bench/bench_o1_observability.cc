@@ -2,7 +2,7 @@
 // window into it must tell the same story.
 //
 // Scenario: the A1-style adaptation run (drifting PhasedChase served from a
-// stale binary by an AdaptiveServer, scavengers running the same service
+// stale binary by one adapting shard, scavengers running the same service
 // binary, drift-aware sampling on) executed three ways on identical machines:
 //   seed     — no recorder, no registry attached: the pre-observability clock;
 //   disabled — recorder attached with runtime mask 0: the always-compiled-in
@@ -36,9 +36,9 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server.h"
 #include "src/obs/snapshot.h"
 #include "src/obs/trace.h"
+#include "src/scenario/scenario.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -63,36 +63,26 @@ ScenarioResult RunScenario(const workloads::PhasedChase& chase,
                            const core::PipelineConfig& pipeline,
                            obs::TraceRecorder* trace,
                            obs::MetricsRegistry* metrics) {
-  sim::Machine machine(pipeline.machine);
-  chase.InitMemory(machine.memory());
-  adapt::AdaptiveServerConfig config;
-  config.controller.pipeline = pipeline;
-  config.tasks_per_epoch = kTasksPerEpoch;
-  config.dual.max_scavengers = 4;
-  config.dual.hide_window_cycles = 300;
-  config.drift_aware_sampling = true;
-  adapt::AdaptiveServer server(&chase.program(), stale, &machine, config);
-  if (trace != nullptr || metrics != nullptr) {
-    server.SetObservability(trace, metrics);
-  }
-  for (int i = 0; i < kTasks; ++i) {
-    server.AddTask(chase.SetupFor(i));
-  }
-  int extra = kTasks;
-  server.SetScavengerFactory(
-      [&chase, extra]() mutable
-          -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-        return chase.SetupFor(extra++);
-      });
+  scenario::Spec spec;
+  spec.workload = &chase;
+  spec.initial = &stale;
+  spec.group.shard.controller.pipeline = pipeline;
+  spec.group.shard.tasks_per_epoch = kTasksPerEpoch;
+  spec.group.shard.dual.max_scavengers = 4;
+  spec.group.shard.dual.hide_window_cycles = 300;
+  spec.group.shard.drift_aware_sampling = true;
+  spec.load.tasks_per_shard = kTasks;
+  spec.observers.trace = trace;
+  spec.observers.metrics = metrics;
   ScenarioResult result;
-  auto report = server.Run();
-  if (!report.ok()) {
-    std::fprintf(stderr, "run failed: %s\n", report.status().ToString().c_str());
+  auto outcome = scenario::Run(spec);
+  if (!outcome.ok()) {
+    std::fprintf(stderr, "run failed: %s\n", outcome.status().ToString().c_str());
     return result;
   }
   result.ok = true;
-  result.report = std::move(report).value();
-  result.site_index = server.controller().site_index();
+  result.report = std::move(outcome->report.shards[0]);
+  result.site_index = std::move(outcome->site_index);
   return result;
 }
 

@@ -41,15 +41,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server.h"
 #include "src/obs/profiler/export.h"
 #include "src/obs/profiler/profiler.h"
 #include "src/obs/snapshot.h"
 #include "src/obs/trace.h"
+#include "src/scenario/scenario.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -68,46 +69,38 @@ struct ScenarioResult {
   adapt::AdaptReport report;
   // Original load site -> covering primary-yield address in the FINAL binary.
   std::map<isa::Addr, isa::Addr> site_index;
+  std::unique_ptr<obs::CycleProfiler> profiler;
 };
 
+// With `trace` set, the profiler is also fed from its streaming sink.
 ScenarioResult RunScenario(const workloads::PhasedChase& chase,
                            const core::PipelineArtifacts& stale,
                            const core::PipelineConfig& pipeline,
                            obs::TraceRecorder* trace,
-                           obs::CycleProfiler* profiler) {
-  sim::Machine machine(pipeline.machine);
-  chase.InitMemory(machine.memory());
-  adapt::AdaptiveServerConfig config;
-  config.controller.pipeline = pipeline;
-  config.tasks_per_epoch = kTasksPerEpoch;
-  config.dual.max_scavengers = 4;
-  config.dual.hide_window_cycles = 300;
-  config.drift_aware_sampling = true;
-  adapt::AdaptiveServer server(&chase.program(), stale, &machine, config);
-  if (trace != nullptr) {
-    server.SetObservability(trace, nullptr);
-  }
-  if (profiler != nullptr) {
-    server.SetProfiler(profiler);
-  }
-  for (int i = 0; i < kTasks; ++i) {
-    server.AddTask(chase.SetupFor(i));
-  }
-  int extra = kTasks;
-  server.SetScavengerFactory(
-      [&chase, extra]() mutable
-          -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-        return chase.SetupFor(extra++);
-      });
+                           std::optional<obs::CycleProfilerConfig> profiler) {
+  scenario::Spec spec;
+  spec.workload = &chase;
+  spec.initial = &stale;
+  spec.group.shard.controller.pipeline = pipeline;
+  spec.group.shard.tasks_per_epoch = kTasksPerEpoch;
+  spec.group.shard.dual.max_scavengers = 4;
+  spec.group.shard.dual.hide_window_cycles = 300;
+  spec.group.shard.drift_aware_sampling = true;
+  spec.load.tasks_per_shard = kTasks;
+  spec.observers.trace = trace;
+  spec.observers.profiler = profiler;
   ScenarioResult result;
-  auto report = server.Run();
-  if (!report.ok()) {
-    std::fprintf(stderr, "run failed: %s\n", report.status().ToString().c_str());
+  auto outcome = scenario::Run(spec);
+  if (!outcome.ok()) {
+    std::fprintf(stderr, "run failed: %s\n", outcome.status().ToString().c_str());
     return result;
   }
   result.ok = true;
-  result.report = std::move(report).value();
-  result.site_index = server.controller().site_index();
+  result.report = std::move(outcome->report.shards[0]);
+  result.site_index = std::move(outcome->site_index);
+  if (profiler.has_value()) {
+    result.profiler = std::move(outcome->profilers[0]);
+  }
   return result;
 }
 
@@ -147,30 +140,25 @@ int main(int argc, char** argv) {
   };
 
   // --- the scenario matrix --------------------------------------------------
-  const ScenarioResult seed = RunScenario(chase, stale, pipeline, nullptr, nullptr);
+  const ScenarioResult seed =
+      RunScenario(chase, stale, pipeline, nullptr, std::nullopt);
 
   obs::CycleProfilerConfig off_config;
   off_config.enabled = false;
-  obs::CycleProfiler off_profiler(off_config);
   const ScenarioResult disabled =
-      RunScenario(chase, stale, pipeline, nullptr, &off_profiler);
+      RunScenario(chase, stale, pipeline, nullptr, off_config);
 
-  obs::CycleProfiler profiler;
   const ScenarioResult enabled =
-      RunScenario(chase, stale, pipeline, nullptr, &profiler);
+      RunScenario(chase, stale, pipeline, nullptr, obs::CycleProfilerConfig{});
 
   obs::TraceConfig ring_config;
   ring_config.capacity = kStreamRing;
   obs::TraceRecorder recorder(ring_config);
-  obs::CycleProfiler stream_profiler;
-  recorder.SetSink(stream_profiler.MakeTraceSink());
-  const ScenarioResult stream =
-      RunScenario(chase, stale, pipeline, &recorder, &stream_profiler);
-  recorder.DrainToSink();
+  const ScenarioResult stream = RunScenario(chase, stale, pipeline, &recorder,
+                                            obs::CycleProfilerConfig{});
 
-  obs::CycleProfiler calm_profiler;
   const ScenarioResult calm =
-      RunScenario(twin, stale, pipeline, nullptr, &calm_profiler);
+      RunScenario(twin, stale, pipeline, nullptr, obs::CycleProfilerConfig{});
 
   // Symmetric runtime: the stale binary round-robin on its own twin, no
   // scavengers anywhere near it.
@@ -196,6 +184,10 @@ int main(int argc, char** argv) {
   if (!seed.ok || !disabled.ok || !enabled.ok || !stream.ok || !calm.ok) {
     return 2;
   }
+  const obs::CycleProfiler& off_profiler = *disabled.profiler;
+  const obs::CycleProfiler& profiler = *enabled.profiler;
+  const obs::CycleProfiler& stream_profiler = *stream.profiler;
+  const obs::CycleProfiler& calm_profiler = *calm.profiler;
 
   const double seed_cycles = static_cast<double>(seed.report.run.run.total_cycles);
   const double disabled_x = disabled.report.run.run.total_cycles / seed_cycles;

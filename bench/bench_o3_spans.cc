@@ -39,12 +39,11 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server_group.h"
 #include "src/faultinject/serving_faults.h"
 #include "src/obs/profiler/profiler.h"
 #include "src/obs/slo/slo.h"
 #include "src/obs/span/span.h"
-#include "src/serve/front_end.h"
+#include "src/scenario/scenario.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -70,120 +69,63 @@ struct PointSpec {
   bool adapt = false;           // adaptation + guard + kRegression fault
 };
 
-struct PointOutcome {
-  std::vector<std::unique_ptr<obs::SpanCollector>> spans;
-  std::vector<std::unique_ptr<obs::SloEvaluator>> slos;
-  std::vector<std::unique_ptr<obs::CycleProfiler>> profilers;
-  std::vector<serve::FrontEndReport> fe;
-  std::vector<uint64_t> end_cycle;  // per-shard machine clock at drain
-  adapt::GroupReport report;
-  uint64_t span_events = 0;  // kSpanBegin/kSpanEnd/kSlo* drained via sink
-  uint64_t total_cycles() const {
-    uint64_t t = 0;
-    for (const uint64_t c : end_cycle) {
-      t += c;
-    }
-    return t;
+// Simulated cycles across shards at drain.
+uint64_t TotalCycles(const scenario::Outcome& outcome) {
+  uint64_t total = 0;
+  for (const auto& machine : outcome.machines) {
+    total += machine->now();
   }
-};
+  return total;
+}
 
-Result<PointOutcome> RunPoint(const workloads::PhasedChase& chase,
-                              const core::PipelineArtifacts& artifacts,
-                              const core::PipelineConfig& pipeline,
-                              const PointSpec& spec, SpanMode mode) {
-  PointOutcome out;
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (size_t s = 0; s < kShards; ++s) {
-    machines.push_back(std::make_unique<sim::Machine>(pipeline.machine));
-    chase.InitMemory(machines.back()->memory());
-    machine_ptrs.push_back(machines.back().get());
-  }
-
-  adapt::ServerGroupConfig config;
-  config.shards = kShards;
-  config.shard.controller.pipeline = pipeline;
-  config.shard.tasks_per_epoch = kTasksPerEpoch;
-  config.shard.adapt_enabled = spec.adapt;
-  config.shard.scale_pool = spec.adapt;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
-  if (spec.adapt) {
-    config.guard.enabled = true;
-    config.guard.confirmation_window = 2;
-    config.guard.consult_slo = true;
+// One sweep point on two shards. Exactness, the front-end status and the
+// conservation ledgers are verified inside scenario::Run: a broken point is a
+// failed run.
+Result<scenario::Outcome> RunPoint(const workloads::PhasedChase& chase,
+                                   const core::PipelineArtifacts& artifacts,
+                                   const core::PipelineConfig& pipeline,
+                                   const PointSpec& point, SpanMode mode) {
+  scenario::Spec spec;
+  spec.workload = &chase;
+  spec.initial = &artifacts;
+  spec.group.shards = kShards;
+  spec.group.shard.controller.pipeline = pipeline;
+  spec.group.shard.tasks_per_epoch = kTasksPerEpoch;
+  spec.group.shard.adapt_enabled = point.adapt;
+  spec.group.shard.scale_pool = point.adapt;
+  spec.group.shard.dual.max_scavengers = 4;
+  spec.group.shard.dual.hide_window_cycles = 300;
+  if (point.adapt) {
+    spec.group.guard.enabled = true;
+    spec.group.guard.confirmation_window = 2;
+    spec.group.guard.consult_slo = true;
     faultinject::FaultSpec fault;
     fault.fault = faultinject::FaultClass::kRegression;
     fault.severity = 1.0;
     YH_ASSIGN_OR_RETURN(
-        config.fault_hooks,
+        spec.group.fault_hooks,
         faultinject::MakeServingFaultHooks(
             {fault}, static_cast<isa::Addr>(chase.program().size())));
   }
-  YH_RETURN_IF_ERROR(config.Validate());
+  spec.load.open_loop = true;
+  spec.front_end.arrival.rate_per_kcycle = point.rate;
+  spec.front_end.arrival.horizon_cycles = point.duration;
+  spec.front_end.queue_capacity = kQueueCapacity;
+  spec.seed = kSeed;
 
-  adapt::ServerGroup group(&chase.program(), artifacts, machine_ptrs, config);
-
-  // Small ring + sink, the same flush-on-half-full streaming path `yhc spans
-  // --perfetto` renders; the bench only counts what flows through it.
-  obs::TraceConfig trace_config;
-  trace_config.capacity = 1 << 12;
-  trace_config.mask = obs::kTraceSpan | obs::kTraceSlo;
-  obs::TraceRecorder recorder(trace_config);
-  recorder.SetSink([&out](const obs::TraceEvent&) { ++out.span_events; });
+  spec.observers.profiler = obs::CycleProfilerConfig{};
   if (mode != SpanMode::kNone) {
-    group.SetObservability(&recorder, nullptr);
+    obs::SpanCollectorConfig spans;
+    spans.enabled = mode == SpanMode::kEnabled;
+    spec.observers.spans = spans;
+    obs::SloConfig slo;
+    slo.enabled = mode == SpanMode::kEnabled;
+    spec.observers.slo = slo;
+    // Spans and SLO alerts only: the bench counts what flows through the
+    // small-ring stream `yhc spans --perfetto` renders.
+    spec.observers.span_trace_guard = false;
   }
-
-  serve::FrontEndConfig fe;
-  fe.arrival.kind = serve::ArrivalConfig::Kind::kPoisson;
-  fe.arrival.rate_per_kcycle = spec.rate;
-  fe.arrival.horizon_cycles = spec.duration;
-  fe.queue_capacity = kQueueCapacity;
-  fe.scavengers_serve = true;
-  std::vector<std::unique_ptr<serve::ShardFrontEnd>> fronts;
-  for (size_t s = 0; s < kShards; ++s) {
-    serve::FrontEndConfig shard_fe = fe;
-    shard_fe.arrival.seed = kSeed + s;
-    shard_fe.id_seed = kSeed + s;
-    YH_RETURN_IF_ERROR(shard_fe.Validate());
-    fronts.push_back(std::make_unique<serve::ShardFrontEnd>(
-        shard_fe,
-        [&chase](uint64_t id) { return chase.SetupFor(static_cast<int>(id)); },
-        /*trace=*/nullptr, /*metrics=*/nullptr, obs::Labels{}));
-    group.SetRequestSource(s, fronts.back().get());
-    group.SetScavengerFactory(s, fronts.back()->MakeScavengerFactory());
-
-    out.profilers.push_back(std::make_unique<obs::CycleProfiler>());
-    group.SetProfiler(s, out.profilers.back().get());
-
-    if (mode != SpanMode::kNone) {
-      obs::SpanCollectorConfig span_config;
-      span_config.enabled = mode == SpanMode::kEnabled;
-      out.spans.push_back(std::make_unique<obs::SpanCollector>(span_config));
-      out.spans.back()->SetTrace(&recorder);
-      obs::SloConfig slo_config;
-      slo_config.enabled = mode == SpanMode::kEnabled;
-      out.slos.push_back(std::make_unique<obs::SloEvaluator>(slo_config));
-      out.slos.back()->SetTrace(&recorder, static_cast<int32_t>(s));
-      fronts.back()->SetSpanCollector(out.spans.back().get());
-      fronts.back()->SetSloEvaluator(out.slos.back().get());
-      group.SetSpanCollector(s, out.spans.back().get());
-      group.SetSloEvaluator(s, out.slos.back().get());
-    }
-  }
-
-  YH_ASSIGN_OR_RETURN(out.report, group.Run());
-  recorder.DrainToSink();
-  for (size_t s = 0; s < kShards; ++s) {
-    YH_RETURN_IF_ERROR(fronts[s]->status());
-    out.fe.push_back(fronts[s]->report());
-    out.end_cycle.push_back(machine_ptrs[s]->now());
-    if (mode == SpanMode::kEnabled) {
-      YH_RETURN_IF_ERROR(out.spans[s]->VerifyExactness());
-    }
-  }
-  return out;
+  return scenario::Run(spec);
 }
 
 uint64_t SpanTotal(const obs::SpanCollector& spans, obs::SpanClass cls) {
@@ -255,10 +197,10 @@ bool PartitionHolds(const obs::CycleProfiler& profiler, uint64_t run_cycles,
   return ok;
 }
 
-bool SameOutcome(const PointOutcome& a, const PointOutcome& b) {
+bool SameOutcome(const scenario::Outcome& a, const scenario::Outcome& b) {
   if (a.report.rollbacks != b.report.rollbacks ||
       a.report.canaries != b.report.canaries ||
-      a.span_events != b.span_events) {
+      a.span_events.size() != b.span_events.size()) {
     return false;
   }
   for (size_t s = 0; s < kShards; ++s) {
@@ -275,14 +217,14 @@ bool SameOutcome(const PointOutcome& a, const PointOutcome& b) {
         a.slos[s]->total() != b.slos[s]->total() ||
         a.slos[s]->bad() != b.slos[s]->bad() ||
         a.slos[s]->alerts_fired() != b.slos[s]->alerts_fired() ||
-        a.fe[s].counters.offered != b.fe[s].counters.offered ||
-        a.fe[s].counters.shed != b.fe[s].counters.shed ||
-        a.fe[s].counters.completed != b.fe[s].counters.completed ||
-        a.fe[s].latency.P50() != b.fe[s].latency.P50() ||
-        a.fe[s].latency.P99() != b.fe[s].latency.P99() ||
-        a.fe[s].latency.ValueAtQuantile(0.999) !=
-            b.fe[s].latency.ValueAtQuantile(0.999) ||
-        a.end_cycle[s] != b.end_cycle[s]) {
+        a.front_ends[s].counters.offered != b.front_ends[s].counters.offered ||
+        a.front_ends[s].counters.shed != b.front_ends[s].counters.shed ||
+        a.front_ends[s].counters.completed != b.front_ends[s].counters.completed ||
+        a.front_ends[s].latency.P50() != b.front_ends[s].latency.P50() ||
+        a.front_ends[s].latency.P99() != b.front_ends[s].latency.P99() ||
+        a.front_ends[s].latency.ValueAtQuantile(0.999) !=
+            b.front_ends[s].latency.ValueAtQuantile(0.999) ||
+        a.machines[s]->now() != b.machines[s]->now()) {
       return false;
     }
   }
@@ -329,10 +271,10 @@ int main(int argc, char** argv) {
   Table table({"rate", "adapt", "completed", "exact", "reconcile", "partition",
                "ledger", "verdict"});
   table.PrintHeader();
-  std::unique_ptr<PointOutcome> rollback_point;
+  std::unique_ptr<scenario::Outcome> rollback_point;
   for (const PointSpec& spec : sweep) {
     auto run = RunPoint(chase, *stale, pipeline, spec, SpanMode::kEnabled);
-    // VerifyExactness failures surface here: exactness is a Status, not a
+    // Exactness and ledger failures surface here: they are a Status, not a
     // score, so a broken point is a failed run, not a degraded row.
     if (!run.ok()) {
       std::fprintf(stderr, "sweep point rate=%.3f failed: %s\n", spec.rate,
@@ -343,22 +285,21 @@ int main(int argc, char** argv) {
       continue;
     }
     uint64_t completed = 0;
-    bool ledger_ok = true, reconcile_ok = true, partition_ok = true;
+    bool reconcile_ok = true, partition_ok = true;
     std::string reconcile_detail, partition_detail;
     for (size_t s = 0; s < kShards; ++s) {
       completed += run->spans[s]->completed_count();
-      ledger_ok = ledger_ok && run->fe[s].ConservationHolds();
       reconcile_ok = reconcile_ok &&
                      Reconciles(*run->spans[s], *run->profilers[s],
                                 &reconcile_detail);
       partition_ok = partition_ok &&
                      PartitionHolds(*run->profilers[s],
-                                    run->end_cycle[s] -
+                                    run->machines[s]->now() -
                                         run->profilers[s]->run_begin_cycle(),
                                     /*expect_epochs=*/spec.adapt,
                                     &partition_detail);
     }
-    bool point_ok = ledger_ok && reconcile_ok && partition_ok;
+    bool point_ok = reconcile_ok && partition_ok;
     if (spec.adapt) {
       const bool rolled = run->report.rollbacks >= 1 && run->report.canaries >= 1;
       point_ok = point_ok && rolled;
@@ -382,7 +323,7 @@ int main(int argc, char** argv) {
                     std::to_string(completed), "ok",
                     reconcile_ok ? "ok" : "BROKEN",
                     partition_ok ? "ok" : "BROKEN",
-                    ledger_ok ? "ok" : "BROKEN", point_ok ? "pass" : "FAIL"});
+                    "ok", point_ok ? "pass" : "FAIL"});
     json.Add(StrFormat("sweep_r%.3f", spec.rate),
              {{"rate", spec.rate},
               {"adapt", spec.adapt ? 1.0 : 0.0},
@@ -390,12 +331,12 @@ int main(int argc, char** argv) {
               {"rollbacks", static_cast<double>(run->report.rollbacks)},
               {"reconcile", reconcile_ok ? 1.0 : 0.0},
               {"partition", partition_ok ? 1.0 : 0.0},
-              {"ledger", ledger_ok ? 1.0 : 0.0},
+              {"ledger", 1.0},
               {"pass", point_ok ? 1.0 : 0.0}});
     all_pass = all_pass && point_ok;
     if (spec.adapt) {
       rollback_point =
-          std::make_unique<PointOutcome>(std::move(run).value());
+          std::make_unique<scenario::Outcome>(std::move(run).value());
     }
   }
 
@@ -410,23 +351,23 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "overhead runs failed\n");
     return 2;
   }
-  const double enabled_ratio = static_cast<double>(on->total_cycles()) /
-                               static_cast<double>(bare->total_cycles());
-  const double disabled_ratio = static_cast<double>(off->total_cycles()) /
-                                static_cast<double>(bare->total_cycles());
+  const double enabled_ratio = static_cast<double>(TotalCycles(*on)) /
+                               static_cast<double>(TotalCycles(*bare));
+  const double disabled_ratio = static_cast<double>(TotalCycles(*off)) /
+                                static_cast<double>(TotalCycles(*bare));
   const bool overhead_ok = enabled_ratio <= kEnabledCeiling &&
                            disabled_ratio <= kDisabledCeiling;
   all_pass = all_pass && overhead_ok;
   std::printf("\n  overhead: bare=%s cycles, disabled=%.4fx (<= %.2fx), "
               "enabled=%.4fx (<= %.2fx), %s span events -> %s\n",
-              WithCommas(bare->total_cycles()).c_str(), disabled_ratio,
+              WithCommas(TotalCycles(*bare)).c_str(), disabled_ratio,
               kDisabledCeiling, enabled_ratio, kEnabledCeiling,
-              WithCommas(on->span_events).c_str(),
+              WithCommas(on->span_events.size()).c_str(),
               overhead_ok ? "pass" : "FAIL");
-  json.Add("overhead", {{"bare_cycles", static_cast<double>(bare->total_cycles())},
+  json.Add("overhead", {{"bare_cycles", static_cast<double>(TotalCycles(*bare))},
                         {"disabled_ratio", disabled_ratio},
                         {"enabled_ratio", enabled_ratio},
-                        {"span_events", static_cast<double>(on->span_events)},
+                        {"span_events", static_cast<double>(on->span_events.size())},
                         {"pass", overhead_ok ? 1.0 : 0.0}});
 
   // ---------- determinism -------------------------------------------------

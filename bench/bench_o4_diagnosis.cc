@@ -44,14 +44,13 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server_group.h"
 #include "src/faultinject/serving_faults.h"
 #include "src/obs/diff/diff.h"
 #include "src/obs/exemplar/exemplar.h"
 #include "src/obs/profiler/profiler.h"
 #include "src/obs/slo/slo.h"
 #include "src/obs/span/span.h"
-#include "src/serve/front_end.h"
+#include "src/scenario/scenario.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -84,202 +83,71 @@ struct PointSpec {
   bool guard = false;             // canary guard + SLO veto + regress fault
 };
 
-struct PointOutcome {
-  std::vector<std::unique_ptr<obs::SpanCollector>> spans;
-  std::vector<std::unique_ptr<obs::SloEvaluator>> slos;
-  std::vector<std::unique_ptr<obs::CycleProfiler>> profilers;
-  std::vector<std::unique_ptr<obs::ExemplarReservoir>> exemplars;
-  std::vector<serve::FrontEndReport> fe;
-  std::vector<uint64_t> end_cycle;  // per-shard machine clock at drain
-  std::vector<obs::TraceEvent> events;  // drained span/SLO/guard stream
-  adapt::GroupReport report;
-
-  uint64_t total_cycles() const {
-    uint64_t t = 0;
-    for (const uint64_t c : end_cycle) {
-      t += c;
-    }
-    return t;
+// Simulated cycles across shards at drain.
+uint64_t TotalCycles(const scenario::Outcome& outcome) {
+  uint64_t total = 0;
+  for (const auto& machine : outcome.machines) {
+    total += machine->now();
   }
-};
+  return total;
+}
 
-Result<PointOutcome> RunPoint(const workloads::PhasedChase& chase,
-                              const core::PipelineArtifacts& artifacts,
-                              const core::PipelineConfig& pipeline,
-                              const PointSpec& spec, ObsMode mode) {
-  PointOutcome out;
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (size_t s = 0; s < kShards; ++s) {
-    machines.push_back(std::make_unique<sim::Machine>(pipeline.machine));
-    chase.InitMemory(machines.back()->memory());
-    machine_ptrs.push_back(machines.back().get());
-  }
-
-  adapt::ServerGroupConfig config;
-  config.shards = kShards;
-  config.shard.controller.pipeline = pipeline;
-  config.shard.tasks_per_epoch = kTasksPerEpoch;
-  config.shard.adapt_enabled = spec.adapt;
-  config.shard.scale_pool = spec.adapt;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
-  if (spec.guard) {
-    config.guard.enabled = true;
-    config.guard.confirmation_window = 2;
-    config.guard.consult_slo = true;
+// One point on two shards. Span and exemplar exactness, the front-end status
+// and the conservation ledgers are verified inside scenario::Run.
+Result<scenario::Outcome> RunPoint(const workloads::PhasedChase& chase,
+                                   const core::PipelineArtifacts& artifacts,
+                                   const core::PipelineConfig& pipeline,
+                                   const PointSpec& point, ObsMode mode) {
+  scenario::Spec spec;
+  spec.workload = &chase;
+  spec.initial = &artifacts;
+  spec.group.shards = kShards;
+  spec.group.shard.controller.pipeline = pipeline;
+  spec.group.shard.tasks_per_epoch = kTasksPerEpoch;
+  spec.group.shard.adapt_enabled = point.adapt;
+  spec.group.shard.scale_pool = point.adapt;
+  spec.group.shard.dual.max_scavengers = 4;
+  spec.group.shard.dual.hide_window_cycles = 300;
+  if (point.guard) {
+    spec.group.guard.enabled = true;
+    spec.group.guard.confirmation_window = 2;
+    spec.group.guard.consult_slo = true;
     faultinject::FaultSpec fault;
     fault.fault = faultinject::FaultClass::kRegression;
     fault.severity = 1.0;
     YH_ASSIGN_OR_RETURN(
-        config.fault_hooks,
+        spec.group.fault_hooks,
         faultinject::MakeServingFaultHooks(
             {fault}, static_cast<isa::Addr>(chase.program().size())));
   }
-  YH_RETURN_IF_ERROR(config.Validate());
+  spec.load.open_loop = true;
+  spec.front_end.arrival.rate_per_kcycle = point.rate;
+  spec.front_end.arrival.horizon_cycles = point.duration;
+  spec.front_end.queue_capacity = kQueueCapacity;
+  spec.seed = kSeed;
 
-  adapt::ServerGroup group(&chase.program(), artifacts, machine_ptrs, config);
-
-  // Full observability stream: spans + SLO alerts + guard control windows,
-  // the same mask `yhc spans --perfetto` renders; the drained events feed
-  // the diff engine's SLO-alert join.
-  obs::TraceConfig trace_config;
-  trace_config.capacity = 1 << 12;
-  trace_config.mask = obs::kTraceSpan | obs::kTraceSlo | obs::kTraceGuard;
-  obs::TraceRecorder recorder(trace_config);
-  recorder.SetSink(
-      [&out](const obs::TraceEvent& event) { out.events.push_back(event); });
+  // Per-site epoch snapshots are what the diff engine ranks sites from.
+  obs::CycleProfilerConfig profiler;
+  profiler.epoch_site_snapshots = true;
+  spec.observers.profiler = profiler;
   if (mode != ObsMode::kNone) {
-    group.SetObservability(&recorder, nullptr);
+    // Full observability stream: spans + SLO alerts + guard control windows,
+    // the same stream `yhc spans --perfetto` renders; the drained events feed
+    // the diff engine's SLO-alert join.
+    const bool enabled = mode == ObsMode::kEnabled;
+    obs::SpanCollectorConfig spans;
+    spans.enabled = enabled;
+    spec.observers.spans = spans;
+    obs::SloConfig slo;
+    slo.enabled = enabled;
+    spec.observers.slo = slo;
+    obs::ExemplarReservoirConfig exemplars;
+    exemplars.enabled = enabled;
+    exemplars.top_k = kTopK;
+    exemplars.window_cycles = kWindowCycles;
+    spec.observers.exemplars = exemplars;
   }
-
-  serve::FrontEndConfig fe;
-  fe.arrival.kind = serve::ArrivalConfig::Kind::kPoisson;
-  fe.arrival.rate_per_kcycle = spec.rate;
-  fe.arrival.horizon_cycles = spec.duration;
-  fe.queue_capacity = kQueueCapacity;
-  fe.scavengers_serve = true;
-  std::vector<std::unique_ptr<serve::ShardFrontEnd>> fronts;
-  for (size_t s = 0; s < kShards; ++s) {
-    serve::FrontEndConfig shard_fe = fe;
-    shard_fe.arrival.seed = kSeed + s;
-    shard_fe.id_seed = kSeed + s;
-    YH_RETURN_IF_ERROR(shard_fe.Validate());
-    fronts.push_back(std::make_unique<serve::ShardFrontEnd>(
-        shard_fe,
-        [&chase](uint64_t id) { return chase.SetupFor(static_cast<int>(id)); },
-        /*trace=*/nullptr, /*metrics=*/nullptr, obs::Labels{}));
-    group.SetRequestSource(s, fronts.back().get());
-    group.SetScavengerFactory(s, fronts.back()->MakeScavengerFactory());
-
-    // Per-site epoch snapshots are what the diff engine ranks sites from.
-    obs::CycleProfilerConfig prof_config;
-    prof_config.epoch_site_snapshots = true;
-    out.profilers.push_back(std::make_unique<obs::CycleProfiler>(prof_config));
-    group.SetProfiler(s, out.profilers.back().get());
-
-    if (mode != ObsMode::kNone) {
-      obs::SpanCollectorConfig span_config;
-      span_config.enabled = mode == ObsMode::kEnabled;
-      out.spans.push_back(std::make_unique<obs::SpanCollector>(span_config));
-      out.spans.back()->SetTrace(&recorder);
-      obs::SloConfig slo_config;
-      slo_config.enabled = mode == ObsMode::kEnabled;
-      out.slos.push_back(std::make_unique<obs::SloEvaluator>(slo_config));
-      out.slos.back()->SetTrace(&recorder, static_cast<int32_t>(s));
-      obs::ExemplarReservoirConfig ex_config;
-      ex_config.enabled = mode == ObsMode::kEnabled;
-      ex_config.top_k = kTopK;
-      ex_config.window_cycles = kWindowCycles;
-      out.exemplars.push_back(
-          std::make_unique<obs::ExemplarReservoir>(ex_config));
-      out.spans.back()->SetExemplars(out.exemplars.back().get());
-      fronts.back()->SetSpanCollector(out.spans.back().get());
-      fronts.back()->SetSloEvaluator(out.slos.back().get());
-      group.SetSpanCollector(s, out.spans.back().get());
-      group.SetSloEvaluator(s, out.slos.back().get());
-      group.SetExemplar(s, out.exemplars.back().get());
-    }
-  }
-
-  YH_ASSIGN_OR_RETURN(out.report, group.Run());
-  recorder.DrainToSink();
-  for (size_t s = 0; s < kShards; ++s) {
-    YH_RETURN_IF_ERROR(fronts[s]->status());
-    out.fe.push_back(fronts[s]->report());
-    out.end_cycle.push_back(machine_ptrs[s]->now());
-    if (mode == ObsMode::kEnabled) {
-      YH_RETURN_IF_ERROR(out.spans[s]->VerifyExactness());
-      YH_RETURN_IF_ERROR(out.exemplars[s]->VerifyExactness());
-    }
-  }
-  return out;
-}
-
-// Feeds one finished point into a DiffEngine: both taxonomies per shard,
-// guard decisions by their group epoch, SLO alerts by their cycle stamp —
-// the exact conversion `yhc why` performs.
-obs::DiffEngine BuildEngine(const PointOutcome& outcome) {
-  obs::DiffEngine engine;
-  for (size_t s = 0; s < kShards; ++s) {
-    engine.AddShard(outcome.profilers[s].get(), outcome.spans[s].get());
-  }
-  for (const adapt::GuardEvent& event : outcome.report.guard_log) {
-    obs::ControlEvent control;
-    control.epoch = event.epoch;
-    control.shard = event.shard;
-    control.generation_id = event.generation_id;
-    switch (event.kind) {
-      case adapt::GuardEventKind::kCanaryBegin:
-        control.kind = obs::ControlEvent::Kind::kCanaryBegin;
-        break;
-      case adapt::GuardEventKind::kPromote:
-        control.kind = obs::ControlEvent::Kind::kCanaryPromote;
-        break;
-      case adapt::GuardEventKind::kRollback:
-        control.kind = obs::ControlEvent::Kind::kCanaryRollback;
-        break;
-      case adapt::GuardEventKind::kPoisonBlocked:
-        control.kind = obs::ControlEvent::Kind::kPoisonBlocked;
-        break;
-      case adapt::GuardEventKind::kRebuildRetry:
-        control.kind = obs::ControlEvent::Kind::kRebuildRetry;
-        break;
-      case adapt::GuardEventKind::kWatchdogFire:
-        control.kind = obs::ControlEvent::Kind::kWatchdogFire;
-        break;
-      case adapt::GuardEventKind::kSloVeto:
-        control.kind = obs::ControlEvent::Kind::kSloVeto;
-        break;
-      case adapt::GuardEventKind::kStoreFallback:
-        continue;  // load-time artifact, not an epoch-window action
-      case adapt::GuardEventKind::kTenantQuarantine:
-      case adapt::GuardEventKind::kTenantVeto:
-        // Tenant-policy actions route evidence and vetoes, not generations;
-        // the veto's effect arrives as the kRollback it forces.
-        continue;
-    }
-    engine.AddControlEvent(control);
-  }
-  for (const obs::TraceEvent& event : outcome.events) {
-    if (event.type != obs::TraceEventType::kSloAlertFire &&
-        event.type != obs::TraceEventType::kSloAlertClear) {
-      continue;
-    }
-    obs::ControlEvent control;
-    control.kind = event.type == obs::TraceEventType::kSloAlertFire
-                       ? obs::ControlEvent::Kind::kSloAlertFire
-                       : obs::ControlEvent::Kind::kSloAlertClear;
-    control.shard = event.ctx_id >= 0 ? static_cast<size_t>(event.ctx_id) : 0;
-    control.cycle = event.cycle;
-    auto mapped = engine.EpochForCycle(control.shard, event.cycle);
-    if (!mapped.ok()) {
-      continue;
-    }
-    control.epoch = mapped.value();
-    engine.AddControlEvent(control);
-  }
-  return engine;
+  return scenario::Run(spec);
 }
 
 obs::EpochSet Range(size_t lo, size_t hi) {
@@ -377,11 +245,11 @@ bool SameExemplars(const obs::ExemplarReservoir& a,
   return true;
 }
 
-bool SameOutcome(const PointOutcome& a, const PointOutcome& b) {
+bool SameOutcome(const scenario::Outcome& a, const scenario::Outcome& b) {
   if (a.report.rollbacks != b.report.rollbacks ||
       a.report.canaries != b.report.canaries ||
       a.report.installs != b.report.installs ||
-      a.events.size() != b.events.size()) {
+      a.span_events.size() != b.span_events.size()) {
     return false;
   }
   for (size_t s = 0; s < kShards; ++s) {
@@ -398,10 +266,11 @@ bool SameOutcome(const PointOutcome& a, const PointOutcome& b) {
         a.slos[s]->total() != b.slos[s]->total() ||
         a.slos[s]->bad() != b.slos[s]->bad() ||
         a.slos[s]->alerts_fired() != b.slos[s]->alerts_fired() ||
-        a.fe[s].counters.offered != b.fe[s].counters.offered ||
-        a.fe[s].counters.completed != b.fe[s].counters.completed ||
-        a.fe[s].latency.P99() != b.fe[s].latency.P99() ||
-        a.end_cycle[s] != b.end_cycle[s] ||
+        a.front_ends[s].counters.offered != b.front_ends[s].counters.offered ||
+        a.front_ends[s].counters.completed !=
+            b.front_ends[s].counters.completed ||
+        a.front_ends[s].latency.P99() != b.front_ends[s].latency.P99() ||
+        a.machines[s]->now() != b.machines[s]->now() ||
         !SameExemplars(*a.exemplars[s], *b.exemplars[s])) {
       return false;
     }
@@ -411,10 +280,10 @@ bool SameOutcome(const PointOutcome& a, const PointOutcome& b) {
 
 // Renders the full diagnosis for a point: build the engine, diff the given
 // windows, join exemplars — the byte stream `yhc why --json` would print.
-Result<std::string> RenderDiagnosis(const PointOutcome& outcome,
+Result<std::string> RenderDiagnosis(const scenario::Outcome& outcome,
                                     const obs::EpochSet& baseline,
                                     const obs::EpochSet& current) {
-  obs::DiffEngine engine = BuildEngine(outcome);
+  obs::DiffEngine engine = scenario::BuildDiffEngine(outcome);
   YH_ASSIGN_OR_RETURN(obs::DiffReport report, engine.Diff(baseline, current));
   std::vector<const obs::ExemplarReservoir*> reservoirs;
   for (const auto& r : outcome.exemplars) {
@@ -475,7 +344,7 @@ int main(int argc, char** argv) {
                  drift.status().ToString().c_str());
     table.PrintRow({"drift", "-", "BROKEN", "-", "-", "FAIL"});
   } else {
-    const size_t epoch_count = BuildEngine(*drift).epoch_count();
+    const size_t epoch_count = scenario::BuildDiffEngine(*drift).epoch_count();
     // Baseline: the epochs BEFORE the planted flip (pre-drift service).
     // Current: the epochs AFTER the last hot swap, when the rebuilt
     // generation's yield site at miss_load_b exists to attribute to — the
@@ -505,7 +374,7 @@ int main(int argc, char** argv) {
     } else {
       const obs::EpochSet baseline = Range(0, flip_epoch - 1);
       const obs::EpochSet current = Range(current_from, epoch_count - 1);
-      obs::DiffEngine engine = BuildEngine(*drift);
+      obs::DiffEngine engine = scenario::BuildDiffEngine(*drift);
       auto report = engine.Diff(baseline, current);
       if (!report.ok()) {
         std::fprintf(stderr, "drift diff failed: %s\n",
@@ -571,7 +440,7 @@ int main(int argc, char** argv) {
                  rollback.status().ToString().c_str());
     table.PrintRow({"rollback", "-", "BROKEN", "-", "-", "FAIL"});
   } else {
-    const size_t epoch_count = BuildEngine(*rollback).epoch_count();
+    const size_t epoch_count = scenario::BuildDiffEngine(*rollback).epoch_count();
     // The rollback-induced window: the first rollback, anchored at the
     // canary confirmation that produced it (the LAST kCanaryBegin at or
     // before the rollback epoch).
@@ -612,7 +481,7 @@ int main(int argc, char** argv) {
       rb_baseline = Range(0, canary_epoch - 1);
       rb_current = Range(std::min(canary_epoch, rollback_epoch),
                          std::min(rollback_epoch + 1, epoch_count - 1));
-      obs::DiffEngine engine = BuildEngine(*rollback);
+      obs::DiffEngine engine = scenario::BuildDiffEngine(*rollback);
       auto report = engine.Diff(rb_baseline, rb_current);
       if (!report.ok()) {
         std::fprintf(stderr, "rollback diff failed: %s\n",
@@ -706,19 +575,19 @@ int main(int argc, char** argv) {
   if (!bare.ok() || !off.ok() || !on.ok()) {
     std::fprintf(stderr, "overhead runs failed\n");
   } else {
-    const double enabled_ratio = static_cast<double>(on->total_cycles()) /
-                                 static_cast<double>(bare->total_cycles());
-    const double disabled_ratio = static_cast<double>(off->total_cycles()) /
-                                  static_cast<double>(bare->total_cycles());
+    const double enabled_ratio = static_cast<double>(TotalCycles(*on)) /
+                                 static_cast<double>(TotalCycles(*bare));
+    const double disabled_ratio = static_cast<double>(TotalCycles(*off)) /
+                                  static_cast<double>(TotalCycles(*bare));
     overhead_ok = enabled_ratio <= kEnabledCeiling &&
                   disabled_ratio <= kDisabledCeiling;
     std::printf("\n  overhead: bare=%s cycles, disabled=%.4fx (<= %.2fx), "
                 "enabled=%.4fx (<= %.2fx) -> %s\n",
-                WithCommas(bare->total_cycles()).c_str(), disabled_ratio,
+                WithCommas(TotalCycles(*bare)).c_str(), disabled_ratio,
                 kDisabledCeiling, enabled_ratio, kEnabledCeiling,
                 overhead_ok ? "pass" : "FAIL");
     json.Add("overhead",
-             {{"bare_cycles", static_cast<double>(bare->total_cycles())},
+             {{"bare_cycles", static_cast<double>(TotalCycles(*bare))},
               {"disabled_ratio", disabled_ratio},
               {"enabled_ratio", enabled_ratio},
               {"pass", overhead_ok ? 1.0 : 0.0}});

@@ -33,17 +33,15 @@
 //     just in the guard counters;
 //   * per-tenant conservation ledgers hold exactly on every shard in both
 //     runs, and the tenant ledgers sum to the front-end ledger counter for
-//     counter;
+//     counter (scenario::Run fails a run that breaks them);
 //   * a fixed seed is deterministic: rerunning the aware scenario reproduces
 //     every victim counter and quantile bit for bit.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server_group.h"
-#include "src/serve/front_end.h"
+#include "src/scenario/scenario.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -65,23 +63,18 @@ constexpr double kTenantDrift = 0.3;     // per-tenant quarantine threshold
 // blind run's swap churn does not.
 constexpr uint64_t kVictimBudget = 600'000;
 
-struct ScenarioOutcome {
-  adapt::GroupReport group;
-  std::vector<serve::FrontEndReport> fronts;
-};
-
 // Max victim p99 across shards: the number the budget gates against.
-uint64_t VictimP99(const ScenarioOutcome& outcome) {
+uint64_t VictimP99(const scenario::Outcome& outcome) {
   uint64_t worst = 0;
-  for (const serve::FrontEndReport& fr : outcome.fronts) {
+  for (const serve::FrontEndReport& fr : outcome.front_ends) {
     worst = std::max(worst, fr.tenants[0].latency.P99());
   }
   return worst;
 }
 
-int TotalSwaps(const ScenarioOutcome& outcome) {
+int TotalSwaps(const scenario::Outcome& outcome) {
   int swaps = 0;
-  for (const adapt::AdaptReport& shard : outcome.group.shards) {
+  for (const adapt::AdaptReport& shard : outcome.report.shards) {
     swaps += shard.swaps;
   }
   return swaps;
@@ -89,34 +82,30 @@ int TotalSwaps(const ScenarioOutcome& outcome) {
 
 // One full run of the antagonist scenario on fresh machines. Everything is
 // identical between the aware and blind runs except tenant_drift_threshold.
-Result<ScenarioOutcome> RunScenario(const workloads::PhasedChase& drifted,
-                                    const workloads::PhasedChase& twin,
-                                    const core::PipelineArtifacts& stale,
-                                    const core::PipelineConfig& pipeline,
-                                    bool tenant_aware) {
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (size_t s = 0; s < kShards; ++s) {
-    machines.push_back(std::make_unique<sim::Machine>(pipeline.machine));
-    drifted.InitMemory(machines.back()->memory());
-    machine_ptrs.push_back(machines.back().get());
-  }
-
-  adapt::ServerGroupConfig config;
-  config.shards = kShards;
-  config.shard.controller.pipeline = pipeline;
-  config.shard.controller.drift_threshold = kDriftThreshold;
-  config.shard.tasks_per_epoch = kTasksPerEpoch;
-  config.shard.adapt_enabled = true;
-  config.shard.scale_pool = true;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
-  config.guard.enabled = true;
-  config.guard.confirmation_window = 3;
-  config.guard.regression_ratio = 2.5;
-  config.tenant_drift_threshold = tenant_aware ? kTenantDrift : 0.0;
-  YH_RETURN_IF_ERROR(config.Validate());
-  adapt::ServerGroup group(&drifted.program(), stale, machine_ptrs, config);
+// scenario::Run verifies every shard's global and per-tenant ledgers.
+Result<scenario::Outcome> RunScenario(const workloads::PhasedChase& drifted,
+                                      const workloads::PhasedChase& twin,
+                                      const core::PipelineArtifacts& stale,
+                                      const core::PipelineConfig& pipeline,
+                                      bool tenant_aware) {
+  scenario::Spec spec;
+  // The victim (foreground) serves the stable twin the instrumentation was
+  // built for; the antagonist (background) serves the drifting workload.
+  spec.workload = &drifted;
+  spec.stable = &twin;
+  spec.initial = &stale;
+  spec.group.shards = kShards;
+  spec.group.shard.controller.pipeline = pipeline;
+  spec.group.shard.controller.drift_threshold = kDriftThreshold;
+  spec.group.shard.tasks_per_epoch = kTasksPerEpoch;
+  spec.group.shard.adapt_enabled = true;
+  spec.group.shard.scale_pool = true;
+  spec.group.shard.dual.max_scavengers = 4;
+  spec.group.shard.dual.hide_window_cycles = 300;
+  spec.group.guard.enabled = true;
+  spec.group.guard.confirmation_window = 3;
+  spec.group.guard.regression_ratio = 2.5;
+  spec.group.tenant_drift_threshold = tenant_aware ? kTenantDrift : 0.0;
 
   serve::TenantSpec victim;
   victim.name = "victim";
@@ -126,39 +115,16 @@ Result<ScenarioOutcome> RunScenario(const workloads::PhasedChase& drifted,
   antagonist.name = "antagonist";
   antagonist.priority = serve::TenantSpec::Class::kBackground;
   antagonist.share = 0.6;
+  spec.load.open_loop = true;
+  spec.front_end.arrival.rate_per_kcycle = kRate;
+  spec.front_end.arrival.horizon_cycles = kDuration;
+  spec.front_end.queue_capacity = kQueueCapacity;
+  spec.front_end.tenants = {victim, antagonist};
+  spec.seed = kSeed;
 
-  std::vector<std::unique_ptr<serve::ShardFrontEnd>> fronts;
-  for (size_t s = 0; s < kShards; ++s) {
-    serve::FrontEndConfig fe;
-    fe.arrival.kind = serve::ArrivalConfig::Kind::kPoisson;
-    fe.arrival.rate_per_kcycle = kRate;
-    fe.arrival.horizon_cycles = kDuration;
-    fe.arrival.seed = kSeed + s;
-    fe.id_seed = kSeed + s;
-    fe.queue_capacity = kQueueCapacity;
-    fe.tenants = {victim, antagonist};
-    YH_RETURN_IF_ERROR(fe.Validate());
-    fronts.push_back(std::make_unique<serve::ShardFrontEnd>(
-        fe,
-        [&drifted](uint64_t id) {
-          return drifted.SetupFor(static_cast<int>(id));
-        },
-        /*trace=*/nullptr, /*metrics=*/nullptr, obs::Labels{}));
-    // The victim serves the stable twin the instrumentation was built for;
-    // the antagonist keeps the shared (drifting) handler.
-    fronts.back()->SetTenantHandler(0, [&twin](uint64_t id) {
-      return twin.SetupFor(static_cast<int>(id));
-    });
-    group.SetRequestSource(s, fronts.back().get());
-    group.SetScavengerFactory(s, fronts.back()->MakeScavengerFactory());
-  }
-
-  ScenarioOutcome outcome;
-  YH_ASSIGN_OR_RETURN(outcome.group, group.Run());
-  for (size_t s = 0; s < kShards; ++s) {
-    YH_RETURN_IF_ERROR(fronts[s]->status());
-    outcome.fronts.push_back(fronts[s]->report());
-    if (outcome.fronts.back().tenants.size() != 2) {
+  YH_ASSIGN_OR_RETURN(scenario::Outcome outcome, scenario::Run(spec));
+  for (const serve::FrontEndReport& fr : outcome.front_ends) {
+    if (fr.tenants.size() != 2) {
       return InternalError("front end lost a tenant ledger");
     }
   }
@@ -209,33 +175,26 @@ int main(int argc, char** argv) {
     for (size_t t = 0; t < 2; ++t) {
       uint64_t offered = 0, shed = 0, completed = 0;
       uint64_t p50 = 0, p99 = 0;
-      for (const serve::FrontEndReport& fr : outcome->fronts) {
+      for (const serve::FrontEndReport& fr : outcome->front_ends) {
         offered += fr.tenants[t].counters.offered;
         shed += fr.tenants[t].counters.shed;
         completed += fr.tenants[t].counters.completed;
         p50 = std::max(p50, fr.tenants[t].latency.P50());
         p99 = std::max(p99, fr.tenants[t].latency.P99());
       }
-      bool ledgers = true;
-      for (const serve::FrontEndReport& fr : outcome->fronts) {
-        ledgers = ledgers && fr.ConservationHolds() &&
-                  fr.TenantLedgersConsistent();
-      }
-      all_pass = all_pass && ledgers;
-      table.PrintRow({run, outcome->fronts[0].tenants[t].spec.name,
+      table.PrintRow({run, outcome->front_ends[0].tenants[t].spec.name,
                       std::to_string(offered), std::to_string(shed),
-                      std::to_string(completed), FmtU(p50), FmtU(p99),
-                      ledgers ? "ok" : "BROKEN"});
+                      std::to_string(completed), FmtU(p50), FmtU(p99), "ok"});
     }
   }
 
   // Gate 1: aware — the antagonist is quarantined and the group swaps ZERO
   // times; the victim's serving generation is untouched end to end.
   const bool aware_isolated =
-      aware->group.tenant_quarantines >= 1 && TotalSwaps(*aware) == 0;
+      aware->report.tenant_quarantines >= 1 && TotalSwaps(*aware) == 0;
   all_pass = all_pass && aware_isolated;
   std::printf("\n  aware: quarantines=%d swaps=%d -> %s\n",
-              aware->group.tenant_quarantines, TotalSwaps(*aware),
+              aware->report.tenant_quarantines, TotalSwaps(*aware),
               aware_isolated ? "pass" : "FAIL");
 
   // Gate 2: blind — the identical drift drives group-wide swaps, so the
@@ -267,18 +226,18 @@ int main(int argc, char** argv) {
     return 2;
   }
   bool deterministic =
-      rerun->group.tenant_quarantines == aware->group.tenant_quarantines &&
+      rerun->report.tenant_quarantines == aware->report.tenant_quarantines &&
       TotalSwaps(*rerun) == TotalSwaps(*aware) &&
       VictimP99(*rerun) == aware_p99;
   for (size_t s = 0; s < kShards; ++s) {
     for (size_t t = 0; t < 2; ++t) {
-      const serve::FrontEndCounters& a = aware->fronts[s].tenants[t].counters;
-      const serve::FrontEndCounters& b = rerun->fronts[s].tenants[t].counters;
+      const serve::FrontEndCounters& a = aware->front_ends[s].tenants[t].counters;
+      const serve::FrontEndCounters& b = rerun->front_ends[s].tenants[t].counters;
       deterministic = deterministic && a.offered == b.offered &&
                       a.admitted == b.admitted && a.shed == b.shed &&
                       a.completed == b.completed &&
-                      aware->fronts[s].tenants[t].latency.P99() ==
-                          rerun->fronts[s].tenants[t].latency.P99();
+                      aware->front_ends[s].tenants[t].latency.P99() ==
+                          rerun->front_ends[s].tenants[t].latency.P99();
     }
   }
   all_pass = all_pass && deterministic;
@@ -287,7 +246,7 @@ int main(int argc, char** argv) {
                             : "DIVERGED (FAIL)");
 
   json.Add("aware",
-           {{"quarantines", static_cast<double>(aware->group.tenant_quarantines)},
+           {{"quarantines", static_cast<double>(aware->report.tenant_quarantines)},
             {"swaps", static_cast<double>(TotalSwaps(*aware))},
             {"victim_p99", static_cast<double>(aware_p99)}});
   json.Add("blind", {{"swaps", static_cast<double>(TotalSwaps(*blind))},

@@ -27,17 +27,14 @@
 // store_fallbacks=1) with recovery intact.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/adapt/server.h"
 #include "src/faultinject/serving_faults.h"
-#include "src/isa/builder.h"
 #include "src/runtime/annotate.h"
 #include "src/runtime/dual_mode.h"
+#include "src/scenario/scenario.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::bench {
@@ -54,42 +51,6 @@ constexpr uint64_t kChaseSteps = 400;
 constexpr int kGuardWindow = 2;
 constexpr double kRecoveryFloor = 0.90;      // R0 vs the A1/A2 bar
 constexpr double kFaultRecoveryShare = 0.90;  // fault rows vs R0
-
-// Same compute-heavy scavenger kernel as A1/A2/R1.
-instrument::InstrumentedProgram MakeScavengedBatch(
-    const sim::MachineConfig& machine) {
-  isa::ProgramBuilder builder("alu_batch");
-  auto loop = builder.Here("loop");
-  for (int i = 0; i < 40; ++i) {
-    builder.Addi(3, 3, 1);
-    builder.Xor(4, 4, 3);
-  }
-  builder.Addi(2, 2, -1);
-  builder.Bne(2, 0, loop);
-  builder.Halt();
-  instrument::InstrumentedProgram input;
-  input.program = std::move(builder).Build().value();
-  instrument::ScavengerConfig config;
-  config.target_interval_cycles = 300;
-  config.machine_cost = machine.cost;
-  config.cost_model = instrument::YieldCostModel::FromMachine(machine.cost);
-  return instrument::RunScavengerPass(input, nullptr, config).value().instrumented;
-}
-
-runtime::DualModeScheduler::ScavengerFactory BatchFactory() {
-  return []() -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-    return [](sim::CpuContext& ctx) { ctx.regs[2] = 1'000'000; };
-  };
-}
-
-adapt::AdaptiveServerConfig ShardConfig(const core::PipelineConfig& pipeline) {
-  adapt::AdaptiveServerConfig config;
-  config.controller.pipeline = pipeline;
-  config.tasks_per_epoch = kTasksPerEpoch;
-  config.dual.max_scavengers = 4;
-  config.dual.hide_window_cycles = 300;
-  return config;
-}
 
 Result<double> BaselineEfficiency(const workloads::PhasedChase& chase,
                                   const sim::MachineConfig& machine_config) {
@@ -113,83 +74,34 @@ Result<double> FreshEfficiency(const workloads::PhasedChase& chase,
                                const core::PipelineArtifacts& fresh,
                                const instrument::InstrumentedProgram& batch,
                                const core::PipelineConfig& pipeline) {
-  sim::Machine machine(pipeline.machine);
-  chase.InitMemory(machine.memory());
-  adapt::AdaptiveServerConfig config = ShardConfig(pipeline);
-  config.adapt_enabled = false;
-  adapt::AdaptiveServer server(&chase.program(), fresh, &machine, config);
-  server.SetScavengerBinary(&batch);
-  server.SetScavengerFactory(BatchFactory());
-  for (int i = 0; i < kRequestsPerShard; ++i) {
-    server.AddTask(chase.SetupFor(i));
-  }
-  YH_ASSIGN_OR_RETURN(const adapt::AdaptReport report, server.Run());
-  return report.run.CpuEfficiency();
+  scenario::Spec spec = BatchServingSpec(chase, fresh, batch, pipeline, 1,
+                                         kRequestsPerShard, kTasksPerEpoch);
+  spec.group.shard.adapt_enabled = false;
+  YH_ASSIGN_OR_RETURN(const scenario::Outcome outcome, scenario::Run(spec));
+  return outcome.report.shards[0].run.CpuEfficiency();
 }
 
-struct GroupOutcome {
-  adapt::GroupReport report;
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  int quarantined = 0;
-};
-
-// One guarded ServerGroup run with the given serving faults injected.
-Result<GroupOutcome> RunGuarded(const workloads::PhasedChase& chase,
-                                const core::PipelineArtifacts& artifacts,
-                                const instrument::InstrumentedProgram& batch,
-                                const core::PipelineConfig& pipeline,
-                                const std::vector<faultinject::FaultSpec>& faults,
-                                const std::string& store_path) {
-  GroupOutcome out;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (size_t s = 0; s < kShards; ++s) {
-    out.machines.push_back(std::make_unique<sim::Machine>(pipeline.machine));
-    chase.InitMemory(out.machines.back()->memory());
-    machine_ptrs.push_back(out.machines.back().get());
-  }
-  adapt::ServerGroupConfig config;
-  config.shards = kShards;
-  config.shard = ShardConfig(pipeline);
-  config.profile_path = store_path;
-  config.guard.enabled = true;
-  config.guard.confirmation_window = kGuardWindow;
+// One guarded group run with the given serving faults injected.
+Result<scenario::Outcome> RunGuarded(
+    const workloads::PhasedChase& chase,
+    const core::PipelineArtifacts& artifacts,
+    const instrument::InstrumentedProgram& batch,
+    const core::PipelineConfig& pipeline,
+    const std::vector<faultinject::FaultSpec>& faults,
+    const std::string& store_path) {
+  scenario::Spec spec =
+      BatchServingSpec(chase, artifacts, batch, pipeline, kShards,
+                       kRequestsPerShard, kTasksPerEpoch);
+  spec.group.profile_path = store_path;
+  spec.group.guard.enabled = true;
+  spec.group.guard.confirmation_window = kGuardWindow;
   if (!faults.empty()) {
     YH_ASSIGN_OR_RETURN(
-        config.fault_hooks,
+        spec.group.fault_hooks,
         faultinject::MakeServingFaultHooks(
             faults, static_cast<isa::Addr>(chase.program().size())));
   }
-  adapt::ServerGroup group(&chase.program(), artifacts, machine_ptrs, config);
-  for (size_t s = 0; s < kShards; ++s) {
-    for (int i = 0; i < kRequestsPerShard; ++i) {
-      group.AddTask(s, chase.SetupFor(static_cast<int>(s) * kRequestsPerShard + i));
-    }
-    group.SetScavengerBinary(s, &batch);
-    group.SetScavengerFactory(s, BatchFactory());
-  }
-  YH_ASSIGN_OR_RETURN(out.report, group.Run());
-  out.quarantined = group.controller().quarantined_generations();
-  return out;
-}
-
-// Issue-weighted mean efficiency of the epochs after the last swap (A1/A2).
-double SteadyStateEfficiency(const adapt::AdaptReport& report) {
-  size_t first = 0;
-  for (size_t i = 0; i < report.epochs.size(); ++i) {
-    if (report.epochs[i].swapped) {
-      first = i + 1;
-    }
-  }
-  if (first >= report.epochs.size()) {
-    first = report.epochs.empty() ? 0 : report.epochs.size() - 1;
-  }
-  double cycles = 0.0, issue = 0.0;
-  for (size_t i = first; i < report.epochs.size(); ++i) {
-    cycles += static_cast<double>(report.epochs[i].cycles);
-    issue += report.epochs[i].efficiency *
-             static_cast<double>(report.epochs[i].cycles);
-  }
-  return cycles > 0.0 ? issue / cycles : 0.0;
+  return scenario::Run(spec);
 }
 
 // Mean recovery fraction across shards.
@@ -203,32 +115,6 @@ double MeanRecovery(const adapt::GroupReport& report, double eff_base,
     sum += (SteadyStateEfficiency(shard) - eff_base) / win_fresh;
   }
   return sum / static_cast<double>(report.shards.size());
-}
-
-int CountCorrect(const workloads::PhasedChase& chase,
-                 const GroupOutcome& outcome) {
-  int correct = 0;
-  for (size_t s = 0; s < kShards; ++s) {
-    for (int i = 0; i < kRequestsPerShard; ++i) {
-      const int index = static_cast<int>(s) * kRequestsPerShard + i;
-      if (chase.ReadResult(outcome.machines[s]->memory(), index) ==
-          chase.ExpectedResult(index)) {
-        ++correct;
-      }
-    }
-  }
-  return correct;
-}
-
-size_t OverlappingSwapEpochs(const adapt::GroupReport& report) {
-  std::set<size_t> seen;
-  size_t overlaps = 0;
-  for (const auto& [epoch, shard] : report.swap_log) {
-    if (!seen.insert(epoch).second) {
-      ++overlaps;
-    }
-  }
-  return overlaps;
 }
 
 // The exposure bound, checked from the audit trails: every canary reaches a
@@ -332,7 +218,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const double recovery_r0 = MeanRecovery(r0->report, *eff_base, win_fresh);
-  const int correct_r0 = CountCorrect(chase, r0.value());
+  const int correct_r0 = r0->correct_results;
   const bool r0_pass =
       recovery_r0 >= kRecoveryFloor && OverlappingSwapEpochs(r0->report) == 0 &&
       ExposureBounded(r0->report, kGuardWindow) &&
@@ -372,7 +258,7 @@ int main(int argc, char** argv) {
       row.name = std::string(faultinject::FaultClassName(fault)) + ":" +
                  Fmt("%.1f", severity);
 
-      Result<GroupOutcome> run = [&]() -> Result<GroupOutcome> {
+      Result<scenario::Outcome> run = [&]() -> Result<scenario::Outcome> {
         if (fault == faultinject::FaultClass::kStoreCorrupt) {
           // File-level: corrupt a copy of R0's persisted store, then
           // warm-start from the rotten file.
@@ -401,7 +287,7 @@ int main(int argc, char** argv) {
       }
       const adapt::GroupReport& report = run->report;
       row.ran = true;
-      row.correct = CountCorrect(chase, run.value()) ==
+      row.correct = run->correct_results ==
                     static_cast<int>(kShards) * kRequestsPerShard;
       row.exposure = ExposureBounded(report, kGuardWindow) &&
                      OverlappingSwapEpochs(report) == 0;
@@ -414,7 +300,7 @@ int main(int argc, char** argv) {
           row.signal = report.canaries >= 1;
           break;
         case faultinject::FaultClass::kRegression:
-          row.signal = report.rollbacks >= 1 && run->quarantined >= 1;
+          row.signal = report.rollbacks >= 1 && run->quarantined_generations >= 1;
           break;
         case faultinject::FaultClass::kShardStall:
           row.signal = report.watchdog_fires >= 1;

@@ -5,14 +5,21 @@
 #define YIELDHIDE_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/adapt/server_group.h"
 #include "src/common/strings.h"
 #include "src/core/pipeline.h"
+#include "src/instrument/scavenger_pass.h"
+#include "src/isa/builder.h"
 #include "src/runtime/annotate.h"
+#include "src/runtime/dual_mode.h"
 #include "src/runtime/round_robin.h"
+#include "src/scenario/scenario.h"
 
 namespace yieldhide::bench {
 
@@ -145,6 +152,94 @@ inline core::PipelineConfig BenchPipeline() {
   config.collector.retired_period = 61;
   config.Finalize();
   return config;
+}
+
+// The compute-heavy batch kernel C5, R1, A1, A2 and R2 colocate with the
+// service as scavengers, instrumented for a 300-cycle yield interval.
+inline instrument::InstrumentedProgram MakeScavengedBatch(
+    const sim::MachineConfig& machine) {
+  isa::ProgramBuilder builder("alu_batch");
+  auto loop = builder.Here("loop");
+  for (int i = 0; i < 40; ++i) {
+    builder.Addi(3, 3, 1);
+    builder.Xor(4, 4, 3);
+  }
+  builder.Addi(2, 2, -1);
+  builder.Bne(2, 0, loop);
+  builder.Halt();
+  instrument::InstrumentedProgram input;
+  input.program = std::move(builder).Build().value();
+  instrument::ScavengerConfig config;
+  config.target_interval_cycles = 300;
+  config.machine_cost = machine.cost;
+  config.cost_model = instrument::YieldCostModel::FromMachine(machine.cost);
+  return instrument::RunScavengerPass(input, nullptr, config).value().instrumented;
+}
+
+// Scavenger setup for the batch kernel: every slot runs a million-iteration
+// loop.
+inline runtime::DualModeScheduler::ScavengerFactory BatchFactory() {
+  return []() -> std::optional<runtime::DualModeScheduler::ContextSetup> {
+    return [](sim::CpuContext& ctx) { ctx.regs[2] = 1'000'000; };
+  };
+}
+
+// The A1/A2/R2 serving shape: `shards` shards, shard s pre-loaded with
+// requests [s * n, (s + 1) * n) of `workload` (n = tasks_per_shard) beside
+// the batch scavenger pool, which is never swapped; four slots behind a
+// 300-cycle hide window.
+inline scenario::Spec BatchServingSpec(
+    const workloads::SimWorkload& workload,
+    const core::PipelineArtifacts& initial,
+    const instrument::InstrumentedProgram& batch,
+    const core::PipelineConfig& pipeline, size_t shards, int tasks_per_shard,
+    int tasks_per_epoch) {
+  scenario::Spec spec;
+  spec.workload = &workload;
+  spec.initial = &initial;
+  spec.group.shards = shards;
+  spec.group.shard.controller.pipeline = pipeline;
+  spec.group.shard.tasks_per_epoch = tasks_per_epoch;
+  spec.group.shard.dual.max_scavengers = 4;
+  spec.group.shard.dual.hide_window_cycles = 300;
+  spec.load.tasks_per_shard = tasks_per_shard;
+  spec.load.scavenger_binary = &batch;
+  spec.load.scavenger_factory = BatchFactory();
+  return spec;
+}
+
+// Issue-weighted mean efficiency of the epochs after the last swap (all
+// epochs when the run never swapped).
+inline double SteadyStateEfficiency(const adapt::AdaptReport& report) {
+  size_t first = 0;
+  for (size_t i = 0; i < report.epochs.size(); ++i) {
+    if (report.epochs[i].swapped) {
+      first = i + 1;
+    }
+  }
+  if (first >= report.epochs.size()) {
+    first = report.epochs.empty() ? 0 : report.epochs.size() - 1;
+  }
+  double cycles = 0.0, issue = 0.0;
+  for (size_t i = first; i < report.epochs.size(); ++i) {
+    cycles += static_cast<double>(report.epochs[i].cycles);
+    issue += report.epochs[i].efficiency *
+             static_cast<double>(report.epochs[i].cycles);
+  }
+  return cycles > 0.0 ? issue / cycles : 0.0;
+}
+
+// Installs that share a group epoch with an earlier install: the stagger
+// policy allows none.
+inline size_t OverlappingSwapEpochs(const adapt::GroupReport& report) {
+  std::set<size_t> seen;
+  size_t overlaps = 0;
+  for (const auto& [epoch, shard] : report.swap_log) {
+    if (!seen.insert(epoch).second) {
+      ++overlaps;
+    }
+  }
+  return overlaps;
 }
 
 }  // namespace yieldhide::bench

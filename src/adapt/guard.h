@@ -30,8 +30,8 @@
 namespace yieldhide::adapt {
 
 struct GuardConfig {
-  // Master switch. Off by default: an unguarded group (and the N=1
-  // AdaptiveServer facade) behaves exactly as before this layer existed.
+  // Master switch. Off by default: an unguarded group behaves exactly as
+  // before this layer existed.
   bool enabled = false;
   // Epochs a fresh generation serves on the canary shard before the verdict.
   int confirmation_window = 3;

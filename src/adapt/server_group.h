@@ -13,7 +13,8 @@
 // serialized at shutdown and warm-starts the next run, which then begins on a
 // binary rebuilt from day-1 evidence instead of the offline reference.
 //
-// AdaptiveServer (server.h) is the N=1 facade over this class.
+// One core is a group with shards = 1; scenario::Run (src/scenario) wires a
+// group, its machines, front ends and observers from one Spec.
 #ifndef YIELDHIDE_SRC_ADAPT_SERVER_GROUP_H_
 #define YIELDHIDE_SRC_ADAPT_SERVER_GROUP_H_
 

@@ -1,13 +1,12 @@
 // Shard: one simulated core of the sharded serving layer (docs/ONLINE.md).
 //
-// Owns everything per-core about the adaptation loop that used to live
-// inside AdaptiveServer::Run(): the DualModeScheduler, the low-period
-// sampling session (with drift-aware rate scaling), the local exponentially-
-// decayed OnlineProfile, per-epoch telemetry, the pool-occupancy feedback,
-// and the per-shard metric/trace surface. What it does NOT own is the swap
-// decision: the shard reports its drift score each epoch and the ServerGroup
-// decides — staggered across shards — when to rebuild and which generation
-// to install. AdaptiveServer is the N=1 facade over this split.
+// Owns everything per-core about the adaptation loop: the DualModeScheduler,
+// the low-period sampling session (with drift-aware rate scaling), the local
+// exponentially-decayed OnlineProfile, per-epoch telemetry, the
+// pool-occupancy feedback, and the per-shard metric/trace surface. What it
+// does NOT own is the swap decision: the shard reports its drift score each
+// epoch and the ServerGroup decides — staggered across shards — when to
+// rebuild and which generation to install.
 //
 // An epoch boundary is driven in three steps so the group can sit in the
 // middle (all at the same scheduler safe point, no task in flight):
@@ -154,8 +153,8 @@ class Shard {
   // `generation` is the binary this shard starts serving (it may lag the
   // controller's newest between staggered swaps). `labels` is appended to
   // every metric the shard and its scheduler publish — {{"shard", "<id>"}}
-  // in a multi-shard group, empty for the N=1 facade so existing unlabeled
-  // series stay intact. The sampling session attaches to `machine` here and
+  // in a multi-shard group, empty for a one-shard group so its series stay
+  // unlabeled. The sampling session attaches to `machine` here and
   // detaches at Finish() (or destruction).
   Shard(size_t id, sim::Machine* machine, const AdaptiveServerConfig& config,
         const BinaryGeneration* generation,

@@ -16,7 +16,6 @@
 #include "src/adapt/drift_score.h"
 #include "src/adapt/online_profile.h"
 #include "src/adapt/profile_store.h"
-#include "src/adapt/server.h"
 #include "src/adapt/server_group.h"
 #include "src/core/pipeline.h"
 #include "src/runtime/annotate.h"
@@ -432,7 +431,7 @@ TEST_F(ControllerTest, SeededQuarantineSurvivesRunWithoutRecounting) {
   }
 }
 
-// --- AdaptiveServer end-to-end ----------------------------------------------------
+// --- One-shard ServerGroup end-to-end ---------------------------------------------
 
 adapt::AdaptiveServerConfig ServerConfig(const core::PipelineConfig& pipeline,
                                          bool adapting) {
@@ -445,6 +444,12 @@ adapt::AdaptiveServerConfig ServerConfig(const core::PipelineConfig& pipeline,
   return config;
 }
 
+adapt::ServerGroupConfig OneShard(const adapt::AdaptiveServerConfig& shard) {
+  adapt::ServerGroupConfig group;
+  group.shard = shard;
+  return group;
+}
+
 TEST(AdaptiveServerTest, DriftedWorkloadTriggersSwapAndStaysCorrect) {
   auto twin = SmallPhased(0.0);
   auto config = SmallPipeline();
@@ -455,21 +460,23 @@ TEST(AdaptiveServerTest, DriftedWorkloadTriggersSwapAndStaysCorrect) {
 
   sim::Machine machine(config.machine);
   drifted.InitMemory(machine.memory());
-  adapt::AdaptiveServer server(&drifted.program(), stale, &machine,
-                               ServerConfig(config, /*adapting=*/true));
+  adapt::ServerGroup server(&drifted.program(), stale, {&machine},
+                           OneShard(ServerConfig(config, /*adapting=*/true)));
   // Shared binary mode (no SetScavengerBinary): scavengers run the primary
   // binary as extra chase tasks and are retired + respawned at the swap.
   auto counter = std::make_shared<int>(0);
   server.SetScavengerFactory(
-      [&drifted, counter]() -> std::optional<runtime::DualModeScheduler::ContextSetup> {
+      0, [&drifted, counter]()
+             -> std::optional<runtime::DualModeScheduler::ContextSetup> {
         return drifted.SetupFor(100 + (*counter)++);
       });
   constexpr int kTasks = 24;
   for (int i = 0; i < kTasks; ++i) {
-    server.AddTask(drifted.SetupFor(i));
+    server.AddTask(0, drifted.SetupFor(i));
   }
-  auto report = server.Run();
-  ASSERT_TRUE(report.ok()) << report.status();
+  auto group = server.Run();
+  ASSERT_TRUE(group.ok()) << group.status();
+  const adapt::AdaptReport* report = &group->shards[0];
 
   EXPECT_GE(report->swaps, 1);
   EXPECT_GE(report->run.binary_swaps, 1u);
@@ -493,14 +500,15 @@ TEST(AdaptiveServerTest, CleanStreamNeverSwaps) {
 
   sim::Machine machine(config.machine);
   twin.InitMemory(machine.memory());
-  adapt::AdaptiveServer server(&twin.program(), stale, &machine,
-                               ServerConfig(config, /*adapting=*/true));
+  adapt::ServerGroup server(&twin.program(), stale, {&machine},
+                           OneShard(ServerConfig(config, /*adapting=*/true)));
   constexpr int kTasks = 16;
   for (int i = 0; i < kTasks; ++i) {
-    server.AddTask(twin.SetupFor(i));
+    server.AddTask(0, twin.SetupFor(i));
   }
-  auto report = server.Run();
-  ASSERT_TRUE(report.ok()) << report.status();
+  auto group = server.Run();
+  ASSERT_TRUE(group.ok()) << group.status();
+  const adapt::AdaptReport* report = &group->shards[0];
   // Hidden misses must not read as drift: no false-positive swaps.
   EXPECT_EQ(report->swaps, 0);
   EXPECT_EQ(report->run.binary_swaps, 0u);

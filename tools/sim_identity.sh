@@ -85,6 +85,11 @@ yhc_commands=(
   "profile --json"
   "why --json"
   "serve --arrival poisson --rate 0.07 --duration 4000000 --seed 3 --tenant fg:fg:0.5:600000 --tenant bg:bg:0.5"
+  "adapt --tasks 16 --epoch 4 --nodes 16384 --steps 200"
+  "serve --shards 2 --guard 1 --tasks 24 --epoch 4 --nodes 16384 --steps 200 --fault regress:1.0"
+  "serve --shards 2 --tasks 16 --epoch 4 --nodes 16384 --steps 200 --store st.profile"
+  "trace --out trace.json --tasks 8 --epoch 4 --nodes 16384 --steps 200"
+  "serve --arrival burst --rate 0.08 --duration 1000000 --shards 2 --guard 1 --fault regress:1.0"
 )
 
 # Runs one yhc command from a build tree inside `out`. Prints the exit status.

@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "src/adapt/server.h"
 #include "src/analysis/cfg.h"
 #include "src/cli/options.h"
 #include "src/common/strings.h"
@@ -58,6 +57,7 @@
 #include "src/serve/front_end.h"
 #include "src/runtime/dual_mode.h"
 #include "src/runtime/round_robin.h"
+#include "src/scenario/scenario.h"
 #include "src/workloads/phased_chase.h"
 
 namespace yieldhide::tools {
@@ -507,23 +507,27 @@ int CmdChaos(Options& options) {
   return slowdown <= 1.15 ? 0 : 1;
 }
 
-// Shared by `yhc adapt` and `yhc serve`: the drifting-PhasedChase serving
-// scenario — a stale binary built from a severity-0 twin, today's traffic
-// drawing phase B with P = --severity.
+// Shared by every serving command: the drifting-PhasedChase serving scenario
+// — a stale binary built from a severity-0 twin, today's traffic drawing
+// phase B with P = --severity from task `flip_task_index` on. `metrics`, when
+// set, also observes the offline pipeline and the controller's rebuilds.
 struct AdaptScenario {
   core::PipelineConfig pipeline;
   core::PipelineArtifacts stale;
+  workloads::PhasedChase twin;
   workloads::PhasedChase chase;
 };
 
 Result<AdaptScenario> BuildAdaptScenario(uint64_t nodes, uint64_t steps,
-                                         double severity, int flip_task_index) {
+                                         double severity, int flip_task_index,
+                                         obs::MetricsRegistry* metrics = nullptr) {
   core::PipelineConfig pipeline;
   pipeline.machine = sim::MachineConfig::SkylakeLike();
   pipeline.collector.l2_miss_period = 29;
   pipeline.collector.stall_cycles_period = 199;
   pipeline.collector.retired_period = 61;
   pipeline.collector.period_jitter = 0.1;
+  pipeline.metrics = metrics;
   pipeline.Finalize();
 
   workloads::PhasedChase::Config yesterday;
@@ -540,7 +544,78 @@ Result<AdaptScenario> BuildAdaptScenario(uint64_t nodes, uint64_t steps,
   today.flip_task_index = flip_task_index;
   YH_ASSIGN_OR_RETURN(workloads::PhasedChase chase,
                       workloads::PhasedChase::Make(today));
-  return AdaptScenario{std::move(pipeline), std::move(stale), std::move(chase)};
+  return AdaptScenario{std::move(pipeline), std::move(stale), std::move(twin),
+                       std::move(chase)};
+}
+
+// The serving spec every command starts from (`spec` carries any load
+// already read): the drifting chase served from the stale build (foreground
+// tenants of a multi-tenant run serve the stable twin), four scavenger slots
+// behind a 300-cycle hide window.
+scenario::Spec ServingSpec(const AdaptScenario& scenario, uint64_t shards,
+                           uint64_t epoch, bool adapting,
+                           scenario::Spec spec = {}) {
+  spec.workload = &scenario.chase;
+  spec.stable = &scenario.twin;
+  spec.initial = &scenario.stale;
+  spec.group.shards = shards;
+  spec.group.shard.controller.pipeline = scenario.pipeline;
+  spec.group.shard.tasks_per_epoch = static_cast<int>(epoch);
+  spec.group.shard.adapt_enabled = adapting;
+  spec.group.shard.scale_pool = adapting;
+  spec.group.shard.dual.max_scavengers = 4;
+  spec.group.shard.dual.hide_window_cycles = 300;
+  return spec;
+}
+
+// The open-loop load flags `serve --arrival`, `spans`, `slo` and `why` share.
+scenario::Spec ReadOpenLoopFlags(Options& options, uint64_t default_duration) {
+  scenario::Spec flags;
+  flags.load.open_loop = true;
+  const std::string arrival =
+      options.Choice("arrival", "poisson", {"poisson", "burst"});
+  flags.front_end.arrival.kind = arrival == "burst"
+                                     ? serve::ArrivalConfig::Kind::kBurst
+                                     : serve::ArrivalConfig::Kind::kPoisson;
+  flags.front_end.arrival.rate_per_kcycle = options.PositiveDouble("rate", 0.02);
+  flags.front_end.arrival.horizon_cycles =
+      options.PositiveU64("duration", default_duration);
+  flags.seed = options.PositiveU64("seed", 1);
+  flags.front_end.queue_capacity = options.PositiveU64("queue-cap", 32);
+  return flags;
+}
+
+// Named configuration errors are usage errors: printed, exit 2.
+bool ValidGroup(const adapt::ServerGroupConfig& config) {
+  const Status valid = config.Validate();
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+  }
+  return valid.ok();
+}
+
+// Serving-layer chaos (docs/ROBUSTNESS.md): --fault takes the serving fault
+// classes (rebuild_fail, backmap, regress, stall, store_corrupt); the
+// pipeline classes belong to `yhc chaos`. Installs the hooks and returns the
+// parsed list, or prints the named error and returns nullopt.
+std::optional<std::vector<faultinject::FaultSpec>> AddServingFaults(
+    const std::string& list, const char* command, const isa::Program& program,
+    adapt::ServerGroupConfig* config) {
+  auto specs = faultinject::ParseFaultList(list);
+  if (!specs.ok()) {
+    std::fprintf(stderr, "yhc %s: %s\n", command,
+                 specs.status().ToString().c_str());
+    return std::nullopt;
+  }
+  auto hooks = faultinject::MakeServingFaultHooks(
+      *specs, static_cast<isa::Addr>(program.size()));
+  if (!hooks.ok()) {
+    std::fprintf(stderr, "yhc %s: %s\n", command,
+                 hooks.status().ToString().c_str());
+    return std::nullopt;
+  }
+  config->fault_hooks = std::move(hooks).value();
+  return std::move(specs).value();
 }
 
 // Online adaptation demo (docs/ONLINE.md), end to end from the shell: serve a
@@ -548,10 +623,11 @@ Result<AdaptScenario> BuildAdaptScenario(uint64_t nodes, uint64_t steps,
 // subsystem repair it live. Yesterday's instrumentation comes from a
 // severity-0 twin (all traffic phase A, same rings, same program); today's
 // mix draws phase B with P = --severity, whose loads the stale binary never
-// covers. AdaptiveServer keeps a low-period sampling session attached,
-// scores drift each --epoch tasks, and past --threshold re-instruments the
-// original binary and hot-swaps it at a task boundary. --adapt 0 demotes the
-// controller to a monitor-only control run (scores drift, never acts).
+// covers. A one-shard ServerGroup keeps a low-period sampling session
+// attached, scores drift each --epoch tasks, and past --threshold
+// re-instruments the original binary and hot-swaps it at a task boundary.
+// --adapt 0 demotes the controller to a monitor-only control run (scores
+// drift, never acts).
 int CmdAdapt(Options& options) {
   const uint64_t tasks = options.PositiveU64("tasks", 32);
   const uint64_t epoch = options.PositiveU64("epoch", 8);
@@ -573,65 +649,41 @@ int CmdAdapt(Options& options) {
   }
   std::printf("stale instrumentation (phase-A profile): %s\n",
               scenario->stale.Summary().c_str());
-  const workloads::PhasedChase& chase = scenario->chase;
 
-  sim::Machine machine(scenario->pipeline.machine);
-  chase.InitMemory(machine.memory());
-  adapt::AdaptiveServerConfig config;
-  config.controller.pipeline = scenario->pipeline;
-  config.controller.drift_threshold = threshold;
-  config.tasks_per_epoch = static_cast<int>(epoch);
-  config.adapt_enabled = adapt_on != 0;
-  config.scale_pool = adapt_on != 0;
-  config.dual.max_scavengers = 4;
-  config.dual.hide_window_cycles = 300;
-  const Status valid = config.Validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+  scenario::Spec spec = ServingSpec(*scenario, 1, epoch, adapt_on != 0);
+  spec.group.shard.controller.drift_threshold = threshold;
+  if (!ValidGroup(spec.group)) {
     return 2;
-  }
-  adapt::AdaptiveServer server(&chase.program(), scenario->stale, &machine,
-                               config);
-  const int n = static_cast<int>(tasks);
-  for (int i = 0; i < n; ++i) {
-    server.AddTask(chase.SetupFor(i));
   }
   // Shared-binary mode: scavengers serve extra chase requests and get swapped
   // together with the primary binary.
-  int extra = n;
-  server.SetScavengerFactory(
-      [&chase, extra]() mutable
-          -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-        return chase.SetupFor(extra++);
-      });
+  const int n = static_cast<int>(tasks);
+  spec.load.tasks_per_shard = n;
 
-  auto report = server.Run();
-  if (!report.ok()) {
-    std::fprintf(stderr, "adaptive run failed: %s\n", report.status().ToString().c_str());
+  auto outcome = scenario::Run(spec);
+  if (!outcome.ok()) {
+    std::fprintf(stderr, "adaptive run failed: %s\n",
+                 outcome.status().ToString().c_str());
     return 1;
   }
+  const adapt::AdaptReport& report = outcome->report.shards[0];
   std::printf("%-6s %-6s %-11s %-6s %-6s %-4s %-5s %s\n", "epoch", "tasks",
               "cycles", "eff", "drift", "cap", "occ", "swap");
-  for (const adapt::EpochTelemetry& e : report->epochs) {
+  for (const adapt::EpochTelemetry& e : report.epochs) {
     std::printf("%-6zu %-6zu %-11s %-6.3f %-6.3f %-4zu %-5.2f %s\n", e.epoch,
                 e.tasks_completed, WithCommas(e.cycles).c_str(), e.efficiency,
                 e.drift, e.pool_cap, e.burst_occupancy, e.swapped ? "SWAP" : "-");
   }
-  std::printf("%s\n", report->Summary().c_str());
+  std::printf("%s\n", report.Summary().c_str());
 
   // Correctness across any number of mid-run hot swaps: every request must
   // still produce the phase-correct chase result.
-  int wrong = 0;
-  for (int i = 0; i < n; ++i) {
-    if (chase.ReadResult(machine.memory(), i) != chase.ExpectedResult(i)) {
-      ++wrong;
-    }
-  }
-  if (wrong != 0) {
-    std::fprintf(stderr, "%d/%d results WRONG after adaptation\n", wrong, n);
+  if (outcome->correct_results != n) {
+    std::fprintf(stderr, "%d/%d results WRONG after adaptation\n",
+                 n - outcome->correct_results, n);
     return 1;
   }
-  std::printf("%d/%d results correct; swaps=%d\n", n, n, report->swaps);
+  std::printf("%d/%d results correct; swaps=%d\n", n, n, report.swaps);
   return 0;
 }
 
@@ -652,12 +704,7 @@ int CmdServeOpenLoop(Options& options) {
   const uint64_t guard_on = options.U64("guard", 0);
   const uint64_t guard_window = options.PositiveU64("guard-window", 3);
   const double guard_ratio = options.Double("guard-ratio", 2.5);
-  const std::string arrival =
-      options.Choice("arrival", "poisson", {"poisson", "burst"});
-  const double rate = options.PositiveDouble("rate", 0.02);
-  const uint64_t duration = options.PositiveU64("duration", 2'000'000);
-  const uint64_t seed = options.PositiveU64("seed", 1);
-  const uint64_t queue_cap = options.PositiveU64("queue-cap", 32);
+  scenario::Spec load = ReadOpenLoopFlags(options, 2'000'000);
   const uint64_t scavenge = options.U64("scavenge", 1);
   const std::vector<std::string> tenant_flags = options.StrList("tenant");
   const double tenant_drift = options.Double("tenant-drift", 0.0);
@@ -675,7 +722,6 @@ int CmdServeOpenLoop(Options& options) {
   // set-level errors (duplicate names, shares summing past 1.0) are named and
   // exit 2 like any other usage problem. No --tenant = the implicit single
   // foreground tenant — existing invocations are unchanged bit for bit.
-  std::vector<serve::TenantSpec> tenants;
   for (const std::string& spec : tenant_flags) {
     auto parsed = serve::ParseTenantSpec(spec);
     if (!parsed.ok()) {
@@ -683,23 +729,24 @@ int CmdServeOpenLoop(Options& options) {
                    parsed.status().ToString().c_str());
       return 2;
     }
-    tenants.push_back(std::move(parsed).value());
+    load.front_end.tenants.push_back(std::move(parsed).value());
   }
-  if (!tenants.empty()) {
-    const Status tenant_valid = serve::ValidateTenantSet(tenants);
+  if (!load.front_end.tenants.empty()) {
+    const Status tenant_valid =
+        serve::ValidateTenantSet(load.front_end.tenants);
     if (!tenant_valid.ok()) {
       std::fprintf(stderr, "yhc serve: %s\n",
                    tenant_valid.ToString().c_str());
       return 2;
     }
   }
+  load.front_end.scavengers_serve = scavenge != 0;
 
   auto scenario = BuildAdaptScenario(nodes, steps, severity, /*flip=*/0);
   if (!scenario.ok()) {
     std::fprintf(stderr, "%s\n", scenario.status().ToString().c_str());
     return 1;
   }
-  const workloads::PhasedChase& chase = scenario->chase;
 
   // Multi-tenant noisy-neighbor shape: FOREGROUND tenants serve the stable
   // severity-0 twin (the workload the stale binary was built for) while
@@ -707,142 +754,49 @@ int CmdServeOpenLoop(Options& options) {
   // --tenant antagonist:bg:... --severity X` reproduces the Q1 antagonist
   // scenario from the shell. The twin shares the chase's program and ring
   // layout, so both run on the same machine image.
-  std::optional<workloads::PhasedChase> stable;
-  if (tenants.size() > 1) {
-    workloads::PhasedChase::Config stable_config;
-    stable_config.num_nodes = nodes;
-    stable_config.steps_per_task = steps;
-    stable_config.severity = 0.0;
-    auto twin = workloads::PhasedChase::Make(stable_config);
-    if (!twin.ok()) {
-      std::fprintf(stderr, "%s\n", twin.status().ToString().c_str());
-      return 1;
-    }
-    stable.emplace(std::move(twin).value());
-  }
-
-  adapt::ServerGroupConfig config;
-  config.shards = shards;
-  config.shard.controller.pipeline = scenario->pipeline;
-  config.shard.controller.drift_threshold = threshold;
-  config.shard.tasks_per_epoch = static_cast<int>(epoch);
-  config.shard.adapt_enabled = adapt_on != 0;
-  config.shard.scale_pool = adapt_on != 0;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
-  config.guard.enabled = guard_on != 0;
-  config.guard.confirmation_window = static_cast<int>(guard_window);
-  config.guard.regression_ratio = guard_ratio;
-  config.tenant_drift_threshold = tenant_drift;
-  const Status valid = config.Validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+  scenario::Spec spec =
+      ServingSpec(*scenario, shards, epoch, adapt_on != 0, load);
+  spec.group.shard.controller.drift_threshold = threshold;
+  spec.group.guard.enabled = guard_on != 0;
+  spec.group.guard.confirmation_window = static_cast<int>(guard_window);
+  spec.group.guard.regression_ratio = guard_ratio;
+  spec.group.tenant_drift_threshold = tenant_drift;
+  if (!ValidGroup(spec.group)) {
     return 2;
   }
-
-  if (!fault_list.empty()) {
-    auto specs = faultinject::ParseFaultList(fault_list);
-    if (!specs.ok()) {
-      std::fprintf(stderr, "yhc serve: %s\n",
-                   specs.status().ToString().c_str());
-      return 2;
-    }
-    auto hooks = faultinject::MakeServingFaultHooks(
-        *specs, static_cast<isa::Addr>(chase.program().size()));
-    if (!hooks.ok()) {
-      std::fprintf(stderr, "yhc serve: %s\n",
-                   hooks.status().ToString().c_str());
-      return 2;
-    }
-    config.fault_hooks = std::move(hooks).value();
+  if (!fault_list.empty() &&
+      !AddServingFaults(fault_list, "serve", scenario->chase.program(),
+                        &spec.group)) {
+    return 2;
   }
-
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (uint64_t s = 0; s < shards; ++s) {
-    machines.push_back(
-        std::make_unique<sim::Machine>(scenario->pipeline.machine));
-    chase.InitMemory(machines.back()->memory());
-    machine_ptrs.push_back(machines.back().get());
-  }
-
-  adapt::ServerGroup group(&chase.program(), scenario->stale, machine_ptrs,
-                           config);
   obs::MetricsRegistry metrics;
-  group.SetObservability(nullptr, &metrics);
+  spec.observers.metrics = &metrics;
 
-  serve::FrontEndConfig fe;
-  fe.arrival.kind = arrival == "burst" ? serve::ArrivalConfig::Kind::kBurst
-                                       : serve::ArrivalConfig::Kind::kPoisson;
-  fe.arrival.rate_per_kcycle = rate;
-  fe.arrival.horizon_cycles = duration;
-  fe.queue_capacity = queue_cap;
-  fe.scavengers_serve = scavenge != 0;
-  fe.tenants = tenants;
-  std::vector<std::unique_ptr<serve::ShardFrontEnd>> fronts;
-  std::vector<std::unique_ptr<obs::SloEvaluator>> tenant_slos;
-  for (uint64_t s = 0; s < shards; ++s) {
-    serve::FrontEndConfig shard_fe = fe;
-    shard_fe.arrival.seed = seed + s;  // independent streams per shard
-    shard_fe.id_seed = seed + s;       // namespaced deterministic request ids
-    const Status fe_valid = shard_fe.Validate();
-    if (!fe_valid.ok()) {
-      std::fprintf(stderr, "yhc serve: %s\n", fe_valid.ToString().c_str());
-      return 2;
-    }
-    obs::Labels labels;
-    if (shards > 1) {
-      labels = obs::LabelSet().Shard(s).Build();
-    }
-    fronts.push_back(std::make_unique<serve::ShardFrontEnd>(
-        shard_fe,
-        [&chase](uint64_t id) {
-          return chase.SetupFor(static_cast<int>(id));
-        },
-        nullptr, &metrics, std::move(labels)));
-    for (size_t t = 0; t < fronts.back()->tenants().size(); ++t) {
-      const serve::TenantSpec& spec = fronts.back()->tenants()[t];
-      if (stable.has_value() && !spec.background()) {
-        fronts.back()->SetTenantHandler(
-            t, [victim = &*stable](uint64_t id) {
-              return victim->SetupFor(static_cast<int>(id));
-            });
-      }
-      if (spec.p99_budget_cycles > 0) {
-        obs::SloConfig tenant_slo;
-        tenant_slo.latency_budget_cycles = spec.p99_budget_cycles;
-        tenant_slos.push_back(std::make_unique<obs::SloEvaluator>(tenant_slo));
-        fronts.back()->SetTenantSloEvaluator(t, tenant_slos.back().get());
-      }
-    }
-    group.SetRequestSource(s, fronts.back().get());
-    group.SetScavengerFactory(s, fronts.back()->MakeScavengerFactory());
-  }
-
-  auto report = group.Run();
-  if (!report.ok()) {
+  auto outcome = scenario::Run(spec);
+  if (!outcome.ok()) {
     std::fprintf(stderr, "open-loop serve failed: %s\n",
-                 report.status().ToString().c_str());
+                 outcome.status().ToString().c_str());
     return 1;
   }
 
+  const serve::ArrivalConfig& arrival = load.front_end.arrival;
   std::printf("arrival=%s rate=%.4g/kcycle duration=%s seed=%llu shards=%llu "
               "queue-cap=%llu scavenge=%llu\n",
-              arrival.c_str(), rate, WithCommas(duration).c_str(),
-              static_cast<unsigned long long>(seed),
+              arrival.kind == serve::ArrivalConfig::Kind::kBurst ? "burst"
+                                                                 : "poisson",
+              arrival.rate_per_kcycle,
+              WithCommas(arrival.horizon_cycles).c_str(),
+              static_cast<unsigned long long>(load.seed),
               static_cast<unsigned long long>(shards),
-              static_cast<unsigned long long>(queue_cap),
+              static_cast<unsigned long long>(load.front_end.queue_capacity),
               static_cast<unsigned long long>(scavenge));
   std::printf("%-6s %-8s %-9s %-6s %-10s %-9s %-9s %-9s %s\n", "shard",
               "offered", "admitted", "shed", "completed", "p50", "p99",
               "p999", "ledger");
-  bool conserved = true;
+  // scenario::Run fails the run when a ledger does not conserve.
   for (uint64_t s = 0; s < shards; ++s) {
-    const serve::FrontEndReport fr = fronts[s]->report();
-    const bool ok = fr.ConservationHolds() && fr.TenantLedgersConsistent() &&
-                    fronts[s]->status().ok();
-    conserved = conserved && ok;
-    std::printf("%-6llu %-8llu %-9llu %-6llu %-10llu %-9llu %-9llu %-9llu %s\n",
+    const serve::FrontEndReport& fr = outcome->front_ends[s];
+    std::printf("%-6llu %-8llu %-9llu %-6llu %-10llu %-9llu %-9llu %-9llu ok\n",
                 static_cast<unsigned long long>(s),
                 static_cast<unsigned long long>(fr.counters.offered),
                 static_cast<unsigned long long>(fr.counters.admitted),
@@ -851,15 +805,10 @@ int CmdServeOpenLoop(Options& options) {
                 static_cast<unsigned long long>(fr.latency.P50()),
                 static_cast<unsigned long long>(fr.latency.P99()),
                 static_cast<unsigned long long>(
-                    fr.latency.ValueAtQuantile(0.999)),
-                ok ? "ok" : "BROKEN");
+                    fr.latency.ValueAtQuantile(0.999)));
     std::printf("       %s\n", fr.Summary().c_str());
   }
-  if (!conserved) {
-    std::fprintf(stderr, "request conservation VIOLATED\n");
-    return 1;
-  }
-  std::printf("%s\n", report->Summary().c_str());
+  std::printf("%s\n", outcome->report.Summary().c_str());
   std::printf("conservation ok across %llu shard(s)\n",
               static_cast<unsigned long long>(shards));
   return 0;
@@ -910,55 +859,33 @@ int CmdServe(Options& options) {
   }
   std::printf("stale instrumentation (phase-A profile): %s\n",
               scenario->stale.Summary().c_str());
-  const workloads::PhasedChase& chase = scenario->chase;
 
-  adapt::ServerGroupConfig config;
-  config.shards = shards;
-  config.shard.controller.pipeline = scenario->pipeline;
-  config.shard.controller.drift_threshold = threshold;
-  config.shard.tasks_per_epoch = static_cast<int>(epoch);
-  config.shard.adapt_enabled = adapt_on != 0;
-  config.shard.scale_pool = adapt_on != 0;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
-  config.profile_path = store_path;
-  config.warm_start = warm != 0;
-  config.guard.enabled = guard_on != 0;
-  config.guard.confirmation_window = static_cast<int>(guard_window);
-  config.guard.regression_ratio = guard_ratio;
-  const Status valid = config.Validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+  scenario::Spec spec = ServingSpec(*scenario, shards, epoch, adapt_on != 0);
+  spec.group.shard.controller.drift_threshold = threshold;
+  spec.group.profile_path = store_path;
+  spec.group.warm_start = warm != 0;
+  spec.group.guard.enabled = guard_on != 0;
+  spec.group.guard.confirmation_window = static_cast<int>(guard_window);
+  spec.group.guard.regression_ratio = guard_ratio;
+  if (!ValidGroup(spec.group)) {
     return 2;
   }
 
-  // Serving-layer chaos (docs/ROBUSTNESS.md): --fault takes the serving
-  // fault classes (rebuild_fail, backmap, regress, stall, store_corrupt);
-  // the pipeline classes belong to `yhc chaos`.
   if (!fault_list.empty()) {
-    auto specs = faultinject::ParseFaultList(fault_list);
-    if (!specs.ok()) {
-      std::fprintf(stderr, "yhc serve: %s\n",
-                   specs.status().ToString().c_str());
+    const auto faults = AddServingFaults(
+        fault_list, "serve", scenario->chase.program(), &spec.group);
+    if (!faults) {
       return 2;
     }
-    auto hooks = faultinject::MakeServingFaultHooks(
-        *specs, static_cast<isa::Addr>(chase.program().size()));
-    if (!hooks.ok()) {
-      std::fprintf(stderr, "yhc serve: %s\n",
-                   hooks.status().ToString().c_str());
-      return 2;
-    }
-    config.fault_hooks = std::move(hooks).value();
-    for (const faultinject::FaultSpec& spec : *specs) {
-      if (spec.fault == faultinject::FaultClass::kStoreCorrupt &&
+    for (const faultinject::FaultSpec& fault : *faults) {
+      if (fault.fault == faultinject::FaultClass::kStoreCorrupt &&
           !store_path.empty()) {
         // Rot the persisted store before the warm start reads it; a missing
         // file just means there is nothing to corrupt yet.
-        const Status rotted = faultinject::CorruptStoreFile(store_path, spec);
+        const Status rotted = faultinject::CorruptStoreFile(store_path, fault);
         if (rotted.ok()) {
           std::printf("store file %s corrupted (severity %.2f)\n",
-                      store_path.c_str(), spec.severity);
+                      store_path.c_str(), fault.severity);
         }
       }
     }
@@ -966,40 +893,20 @@ int CmdServe(Options& options) {
 
   // One simulated core per shard, each with its own memory image of the
   // chase rings; shard s serves task indices [s*tasks, (s+1)*tasks).
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (uint64_t s = 0; s < shards; ++s) {
-    machines.push_back(std::make_unique<sim::Machine>(scenario->pipeline.machine));
-    chase.InitMemory(machines.back()->memory());
-    machine_ptrs.push_back(machines.back().get());
-  }
-
-  adapt::ServerGroup group(&chase.program(), scenario->stale,
-                           machine_ptrs, config);
-  const int n = static_cast<int>(tasks);
-  for (uint64_t s = 0; s < shards; ++s) {
-    for (int i = 0; i < n; ++i) {
-      group.AddTask(s, chase.SetupFor(static_cast<int>(s) * n + i));
-    }
-    int extra = static_cast<int>(shards) * n + static_cast<int>(s) * 100000;
-    group.SetScavengerFactory(
-        s, [&chase, extra]() mutable
-               -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-          return chase.SetupFor(extra++);
-        });
-  }
-
-  auto report = group.Run();
-  if (!report.ok()) {
+  const int total = static_cast<int>(shards * tasks);
+  spec.load.tasks_per_shard = static_cast<int>(tasks);
+  auto outcome = scenario::Run(spec);
+  if (!outcome.ok()) {
     std::fprintf(stderr, "sharded run failed: %s\n",
-                 report.status().ToString().c_str());
+                 outcome.status().ToString().c_str());
     return 1;
   }
+  const adapt::GroupReport& report = outcome->report;
 
   std::printf("%-6s %-7s %-6s %-7s %-7s %s\n", "shard", "epochs", "swaps",
               "drift", "eff", "last epochs (drift)");
-  for (size_t s = 0; s < report->shards.size(); ++s) {
-    const adapt::AdaptReport& r = report->shards[s];
+  for (size_t s = 0; s < report.shards.size(); ++s) {
+    const adapt::AdaptReport& r = report.shards[s];
     std::string tail;
     const size_t shown = r.epochs.size() < 4 ? r.epochs.size() : 4;
     for (size_t e = r.epochs.size() - shown; e < r.epochs.size(); ++e) {
@@ -1010,14 +917,14 @@ int CmdServe(Options& options) {
                 r.swaps, r.final_drift, 100.0 * r.run.CpuEfficiency(),
                 tail.c_str());
   }
-  for (const auto& [swap_epoch, shard] : report->swap_log) {
+  for (const auto& [swap_epoch, shard] : report.swap_log) {
     std::printf("swap: epoch %zu shard %zu\n", swap_epoch, shard);
   }
 
   // The stagger invariant, verified from the audit trail: no two installs
   // share a group epoch.
   std::set<size_t> swap_epochs;
-  for (const auto& [swap_epoch, shard] : report->swap_log) {
+  for (const auto& [swap_epoch, shard] : report.swap_log) {
     if (!swap_epochs.insert(swap_epoch).second) {
       std::fprintf(stderr, "stagger VIOLATED: two swaps in epoch %zu\n",
                    swap_epoch);
@@ -1026,44 +933,33 @@ int CmdServe(Options& options) {
   }
 
   // Correctness on every shard's own memory image.
-  int wrong = 0;
-  for (uint64_t s = 0; s < shards; ++s) {
-    for (int i = 0; i < n; ++i) {
-      const int index = static_cast<int>(s) * n + i;
-      if (chase.ReadResult(machines[s]->memory(), index) !=
-          chase.ExpectedResult(index)) {
-        ++wrong;
-      }
-    }
-  }
-  if (wrong != 0) {
+  if (outcome->correct_results != total) {
     std::fprintf(stderr, "%d/%d results WRONG after sharded adaptation\n",
-                 wrong, static_cast<int>(shards) * n);
+                 total - outcome->correct_results, total);
     return 1;
   }
-  for (const adapt::GuardEvent& event : report->guard_log) {
+  for (const adapt::GuardEvent& event : report.guard_log) {
     std::printf("guard: %s\n", event.ToString().c_str());
   }
-  std::printf("%s\n", report->Summary().c_str());
+  std::printf("%s\n", report.Summary().c_str());
   std::printf("%d/%d results correct; stagger ok (%zu installs, %d rebuilds)\n",
-              static_cast<int>(shards) * n, static_cast<int>(shards) * n,
-              report->swap_log.size(), report->rebuilds);
+              total, total, report.swap_log.size(), report.rebuilds);
   if (!store_path.empty()) {
     std::printf("profile store saved to %s (warm_started=%s)\n",
-                store_path.c_str(), report->warm_started ? "yes" : "no");
+                store_path.c_str(), report.warm_started ? "yes" : "no");
   }
   return 0;
 }
 
-// Shared by `yhc trace` / `yhc metrics`: the CmdAdapt scenario — serve a
-// drifting PhasedChase stream from a stale binary with online adaptation on —
-// with observability attached and smaller defaults, so one command produces a
-// trace/metrics snapshot covering profile, instrument, run, and adapt.
-// Prints progress to stderr only; stdout belongs to the caller's export.
-int RunObservedAdaptScenario(Options& options, obs::TraceRecorder* trace,
-                             obs::MetricsRegistry* metrics,
-                             double* cycles_per_ns_out,
-                             obs::CycleProfiler* profiler = nullptr) {
+// Shared by `yhc trace` / `yhc metrics` / `yhc profile`: the CmdAdapt
+// scenario — serve a drifting PhasedChase stream from a stale binary with
+// online adaptation on — with observability attached and smaller defaults,
+// so one command produces a trace/metrics snapshot covering profile,
+// instrument, run, and adapt. Prints progress to stderr only; stdout belongs
+// to the caller's export. `observers` selects what rides along.
+int RunObservedAdaptScenario(Options& options,
+                             const scenario::Observers& observers,
+                             scenario::Outcome* out) {
   const uint64_t tasks = options.PositiveU64("tasks", 24);
   const uint64_t epoch = options.PositiveU64("epoch", 6);
   const uint64_t nodes = options.PositiveU64("nodes", 1 << 16);
@@ -1073,79 +969,41 @@ int RunObservedAdaptScenario(Options& options, obs::TraceRecorder* trace,
     return options.UsageError();
   }
 
-  core::PipelineConfig pipeline;
-  pipeline.machine = sim::MachineConfig::SkylakeLike();
-  pipeline.collector.l2_miss_period = 29;
-  pipeline.collector.stall_cycles_period = 199;
-  pipeline.collector.retired_period = 61;
-  pipeline.collector.period_jitter = 0.1;
-  pipeline.metrics = metrics;
-  pipeline.Finalize();
-  if (cycles_per_ns_out != nullptr) {
-    *cycles_per_ns_out = pipeline.machine.cycles_per_ns;
-  }
-
-  workloads::PhasedChase::Config yesterday;
-  yesterday.num_nodes = nodes;
-  yesterday.steps_per_task = steps;
-  yesterday.severity = 0.0;
-  auto twin = workloads::PhasedChase::Make(yesterday);
-  if (!twin.ok()) {
-    std::fprintf(stderr, "%s\n", twin.status().ToString().c_str());
-    return 1;
-  }
-  auto stale = core::BuildInstrumentedForWorkload(*twin, pipeline);
-  if (!stale.ok()) {
-    std::fprintf(stderr, "stale build failed: %s\n",
-                 stale.status().ToString().c_str());
+  auto scenario = BuildAdaptScenario(nodes, steps, severity,
+                                     workloads::PhasedChase::Config{}.flip_task_index,
+                                     observers.metrics);
+  if (!scenario.ok()) {
+    std::fprintf(stderr, "%s\n", scenario.status().ToString().c_str());
     return 1;
   }
 
-  workloads::PhasedChase::Config today = yesterday;
-  today.severity = severity;
-  auto made = workloads::PhasedChase::Make(today);
-  if (!made.ok()) {
-    std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
-    return 1;
-  }
-  const workloads::PhasedChase chase = std::move(made).value();
-
-  sim::Machine machine(pipeline.machine);
-  chase.InitMemory(machine.memory());
-  adapt::AdaptiveServerConfig config;
-  config.controller.pipeline = pipeline;
-  config.tasks_per_epoch = static_cast<int>(epoch);
-  config.dual.max_scavengers = 4;
-  config.dual.hide_window_cycles = 300;
-  config.drift_aware_sampling = true;
-  adapt::AdaptiveServer server(&chase.program(), *stale, &machine, config);
-  server.SetObservability(trace, metrics);
-  if (profiler != nullptr) {
-    server.SetProfiler(profiler);
-  }
-  const int n = static_cast<int>(tasks);
-  for (int i = 0; i < n; ++i) {
-    server.AddTask(chase.SetupFor(i));
-  }
-  int extra = n;
-  server.SetScavengerFactory(
-      [&chase, extra]() mutable
-          -> std::optional<runtime::DualModeScheduler::ContextSetup> {
-        return chase.SetupFor(extra++);
-      });
-
-  auto report = server.Run();
-  if (!report.ok()) {
+  scenario::Spec spec = ServingSpec(*scenario, 1, epoch, /*adapting=*/true);
+  spec.group.shard.drift_aware_sampling = true;
+  spec.load.tasks_per_shard = static_cast<int>(tasks);
+  spec.observers = observers;
+  auto outcome = scenario::Run(spec);
+  if (!outcome.ok()) {
     std::fprintf(stderr, "adaptive run failed: %s\n",
-                 report.status().ToString().c_str());
+                 outcome.status().ToString().c_str());
     return 1;
   }
-  std::fprintf(stderr, "%s\n", report->Summary().c_str());
+  std::fprintf(stderr, "%s\n", outcome->report.shards[0].Summary().c_str());
+  *out = std::move(outcome).value();
   return 0;
 }
 
-// Writes `text` to --out if given, else stdout.
-int EmitDocument(const Options& options, const std::string& text) {
+// Writes `text` to --out if given, else stdout. A `json_what` export is
+// validated first: text that is not RFC 8259 JSON is an internal error.
+int EmitDocument(const Options& options, const std::string& text,
+                 const char* json_what = nullptr) {
+  if (json_what != nullptr) {
+    const Status valid = obs::ValidateJson(text);
+    if (!valid.ok()) {
+      std::fprintf(stderr, "internal error: %s is not valid JSON: %s\n",
+                   json_what, valid.ToString().c_str());
+      return 1;
+    }
+  }
   if (!options.Has("out")) {
     std::fputs(text.c_str(), stdout);
     return 0;
@@ -1189,20 +1047,20 @@ int CmdProfileAttribution(Options& options) {
     return options.UsageError();
   }
 
-  obs::CycleProfiler profiler;
   // Small ring so the scenario wraps: the profiler's stream-side tallies come
   // from the flush-on-half-full drain, not a post-run snapshot.
   obs::TraceConfig trace_config;
   trace_config.capacity = 1 << 12;
   obs::TraceRecorder recorder(trace_config);
-  recorder.SetSink(profiler.MakeTraceSink());
-
-  const int run = RunObservedAdaptScenario(options, &recorder, nullptr,
-                                           nullptr, &profiler);
+  scenario::Observers observers;
+  observers.trace = &recorder;
+  observers.profiler = obs::CycleProfilerConfig{};
+  scenario::Outcome outcome;
+  const int run = RunObservedAdaptScenario(options, observers, &outcome);
   if (run != 0) {
     return run;
   }
-  recorder.DrainToSink();
+  const obs::CycleProfiler& profiler = *outcome.profilers[0];
   std::fprintf(stderr, "profile: %s cycles classified across %zu sites\n",
                WithCommas(profiler.classified_cycles()).c_str(),
                profiler.sites().size());
@@ -1214,42 +1072,24 @@ int CmdProfileAttribution(Options& options) {
     doc = obs::ToTopTable(profiler, top_n);
   } else {
     doc = obs::ToProfileJson(profiler);
-    const Status valid = obs::ValidateJson(doc);
-    if (!valid.ok()) {
-      std::fprintf(stderr, "internal error: profile is not valid JSON: %s\n",
-                   valid.ToString().c_str());
-      return 1;
-    }
   }
-  return EmitDocument(options, doc);
+  return EmitDocument(options, doc,
+                      options.Has("json") ? "profile" : nullptr);
 }
 
 // Shared by `yhc spans` / `yhc slo`: the open-loop serving scenario
 // (CmdServeOpenLoop's shape, smaller defaults) with a SpanCollector and an
-// SloEvaluator wired per shard — the front end feeds admission/harvest
-// transitions and SLO records, the scheduler feeds the execution interior.
-// Span/SLO trace events stream through a small-ring TraceRecorder's sink
-// (flush-on-half-full), which is what --perfetto renders.
-struct SpanScenarioResult {
-  std::vector<std::unique_ptr<obs::SpanCollector>> collectors;
-  std::vector<std::unique_ptr<obs::SloEvaluator>> evaluators;
-  std::vector<serve::FrontEndReport> fe_reports;
-  std::vector<obs::TraceEvent> span_events;  // kSpanBegin/kSpanEnd, drained
-  double cycles_per_ns = 1.0;
-};
-
+// SloEvaluator per shard — the front end feeds admission/harvest transitions
+// and SLO records, the scheduler feeds the execution interior. Span/SLO trace
+// events stream through a small-ring trace's sink (flush-on-half-full), which
+// is what --perfetto renders.
 int RunSpanServeScenario(Options& options, const obs::SloConfig& slo_config,
-                         SpanScenarioResult* out) {
+                         scenario::Outcome* out) {
   const uint64_t shards = options.PositiveU64("shards", 1);
   const uint64_t epoch = options.PositiveU64("epoch", 8);
   const uint64_t nodes = options.PositiveU64("nodes", 1 << 16);
   const uint64_t steps = options.PositiveU64("steps", 300);
-  const std::string arrival =
-      options.Choice("arrival", "poisson", {"poisson", "burst"});
-  const double rate = options.PositiveDouble("rate", 0.02);
-  const uint64_t duration = options.PositiveU64("duration", 1'000'000);
-  const uint64_t seed = options.PositiveU64("seed", 1);
-  const uint64_t queue_cap = options.PositiveU64("queue-cap", 32);
+  const scenario::Spec load = ReadOpenLoopFlags(options, 1'000'000);
   if (!options.ok()) {
     return options.UsageError();
   }
@@ -1260,107 +1100,34 @@ int RunSpanServeScenario(Options& options, const obs::SloConfig& slo_config,
     std::fprintf(stderr, "%s\n", scenario.status().ToString().c_str());
     return 1;
   }
-  const workloads::PhasedChase& chase = scenario->chase;
-  out->cycles_per_ns = scenario->pipeline.machine.cycles_per_ns;
 
-  adapt::ServerGroupConfig config;
-  config.shards = shards;
-  config.shard.controller.pipeline = scenario->pipeline;
-  config.shard.tasks_per_epoch = static_cast<int>(epoch);
-  config.shard.adapt_enabled = false;  // steady serving; spans, not swaps
-  config.shard.scale_pool = false;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
-  const Status valid = config.Validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+  // Steady serving: spans, not swaps. The guard's trace category still rides
+  // along, so `--perfetto` would render canary confirmation windows as
+  // control-plane track slices over the request timelines.
+  scenario::Spec spec =
+      ServingSpec(*scenario, shards, epoch, /*adapting=*/false, load);
+  if (!ValidGroup(spec.group)) {
     return 2;
   }
+  spec.observers.spans = obs::SpanCollectorConfig{};
+  spec.observers.slo = slo_config;
 
-  // Small ring + sink: the exported stream comes from the flush-on-half-full
-  // drain, not a post-run snapshot — same machinery `yhc profile` exercises.
-  obs::TraceConfig trace_config;
-  trace_config.capacity = 1 << 12;
-  // Guard rides along so `--perfetto` renders canary confirmation windows as
-  // control-plane track slices over the request timelines (trace.cc / span.cc
-  // share the state machine); with adaptation off the category is just empty.
-  trace_config.mask = obs::kTraceSpan | obs::kTraceSlo | obs::kTraceGuard;
-  obs::TraceRecorder recorder(trace_config);
-  recorder.SetSink([out](const obs::TraceEvent& event) {
-    out->span_events.push_back(event);
-  });
-
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (uint64_t s = 0; s < shards; ++s) {
-    machines.push_back(
-        std::make_unique<sim::Machine>(scenario->pipeline.machine));
-    chase.InitMemory(machines.back()->memory());
-    machine_ptrs.push_back(machines.back().get());
-  }
-
-  adapt::ServerGroup group(&chase.program(), scenario->stale, machine_ptrs,
-                           config);
-  group.SetObservability(&recorder, nullptr);
-
-  serve::FrontEndConfig fe;
-  fe.arrival.kind = arrival == "burst" ? serve::ArrivalConfig::Kind::kBurst
-                                       : serve::ArrivalConfig::Kind::kPoisson;
-  fe.arrival.rate_per_kcycle = rate;
-  fe.arrival.horizon_cycles = duration;
-  fe.queue_capacity = queue_cap;
-  std::vector<std::unique_ptr<serve::ShardFrontEnd>> fronts;
-  for (uint64_t s = 0; s < shards; ++s) {
-    serve::FrontEndConfig shard_fe = fe;
-    shard_fe.arrival.seed = seed + s;
-    shard_fe.id_seed = seed + s;
-    const Status fe_valid = shard_fe.Validate();
-    if (!fe_valid.ok()) {
-      std::fprintf(stderr, "yhc spans: %s\n", fe_valid.ToString().c_str());
-      return 2;
-    }
-    fronts.push_back(std::make_unique<serve::ShardFrontEnd>(
-        shard_fe,
-        [&chase](uint64_t id) {
-          return chase.SetupFor(static_cast<int>(id));
-        },
-        &recorder, nullptr, obs::Labels{}));
-    out->collectors.push_back(std::make_unique<obs::SpanCollector>());
-    out->collectors.back()->SetTrace(&recorder);
-    out->evaluators.push_back(std::make_unique<obs::SloEvaluator>(slo_config));
-    out->evaluators.back()->SetTrace(&recorder, static_cast<int32_t>(s));
-    fronts.back()->SetSpanCollector(out->collectors.back().get());
-    fronts.back()->SetSloEvaluator(out->evaluators.back().get());
-    group.SetRequestSource(s, fronts.back().get());
-    group.SetScavengerFactory(s, fronts.back()->MakeScavengerFactory());
-    group.SetSpanCollector(s, out->collectors.back().get());
-    group.SetSloEvaluator(s, out->evaluators.back().get());
-  }
-
-  auto report = group.Run();
-  if (!report.ok()) {
+  auto outcome = scenario::Run(spec);
+  if (!outcome.ok()) {
     std::fprintf(stderr, "span serve scenario failed: %s\n",
-                 report.status().ToString().c_str());
+                 outcome.status().ToString().c_str());
     return 1;
   }
-  recorder.DrainToSink();
-
   uint64_t completed = 0;
-  for (uint64_t s = 0; s < shards; ++s) {
-    const Status exact = out->collectors[s]->VerifyExactness();
-    if (!exact.ok()) {
-      std::fprintf(stderr, "internal error: span exactness broken: %s\n",
-                   exact.ToString().c_str());
-      return 1;
-    }
-    completed += out->collectors[s]->completed_count();
-    out->fe_reports.push_back(fronts[s]->report());
+  for (const auto& spans : outcome->spans) {
+    completed += spans->completed_count();
   }
   std::fprintf(stderr,
                "spans: %llu request span trees closed across %llu shard(s), "
                "exact to the cycle\n",
                static_cast<unsigned long long>(completed),
                static_cast<unsigned long long>(shards));
+  *out = std::move(outcome).value();
   return 0;
 }
 
@@ -1388,13 +1155,13 @@ int CmdSpans(Options& options) {
     return options.UsageError();
   }
 
-  SpanScenarioResult result;
+  scenario::Outcome result;
   const int run = RunSpanServeScenario(options, obs::SloConfig{}, &result);
   if (run != 0) {
     return run;
   }
   std::vector<const obs::SpanCollector*> shards;
-  for (const auto& collector : result.collectors) {
+  for (const auto& collector : result.spans) {
     shards.push_back(collector.get());
   }
   std::string doc;
@@ -1403,17 +1170,11 @@ int CmdSpans(Options& options) {
   } else if (options.Has("json")) {
     doc = obs::ToSpanJson(shards);
   } else {
-    doc = obs::ToPerfettoSpanJson(result.span_events, result.cycles_per_ns);
+    doc = obs::ToPerfettoSpanJson(result.span_events,
+                                  result.machines[0]->config().cycles_per_ns);
   }
-  if (!options.Has("top")) {
-    const Status valid = obs::ValidateJson(doc);
-    if (!valid.ok()) {
-      std::fprintf(stderr, "internal error: span export is not valid JSON: %s\n",
-                   valid.ToString().c_str());
-      return 1;
-    }
-  }
-  return EmitDocument(options, doc);
+  return EmitDocument(options, doc,
+                      options.Has("top") ? nullptr : "span export");
 }
 
 // SLO burn-rate monitoring over the same scenario: rolling multi-window
@@ -1454,7 +1215,7 @@ int CmdSlo(Options& options) {
     return 2;
   }
 
-  SpanScenarioResult result;
+  scenario::Outcome result;
   const int run = RunSpanServeScenario(options, slo, &result);
   if (run != 0) {
     return run;
@@ -1472,8 +1233,8 @@ int CmdSlo(Options& options) {
         static_cast<unsigned long long>(slo.fast_window_cycles),
         static_cast<unsigned long long>(slo.slow_window_cycles),
         slo.fast_burn_threshold, slo.slow_burn_threshold);
-    for (size_t s = 0; s < result.evaluators.size(); ++s) {
-      const obs::SloEvaluator& eval = *result.evaluators[s];
+    for (size_t s = 0; s < result.slos.size(); ++s) {
+      const obs::SloEvaluator& eval = *result.slos[s];
       json += StrFormat(
           "  {\"shard\": %zu, \"total\": %llu, \"bad\": %llu, "
           "\"fast_burn\": %.6f, \"slow_burn\": %.6f, "
@@ -1483,16 +1244,10 @@ int CmdSlo(Options& options) {
           static_cast<unsigned long long>(eval.bad()), eval.FastBurnRate(),
           eval.SlowBurnRate(), eval.alert_active() ? "true" : "false",
           eval.alerts_fired(), eval.alerts_cleared(),
-          s + 1 < result.evaluators.size() ? "," : "");
+          s + 1 < result.slos.size() ? "," : "");
     }
     json += "]}\n";
-    const Status valid_json = obs::ValidateJson(json);
-    if (!valid_json.ok()) {
-      std::fprintf(stderr, "internal error: slo export is not valid JSON: %s\n",
-                   valid_json.ToString().c_str());
-      return 1;
-    }
-    return EmitDocument(options, json);
+    return EmitDocument(options, json, "slo export");
   }
   std::string doc = StrFormat(
       "budget=%s cycles objective=%.4f windows fast=%s slow=%s "
@@ -1501,9 +1256,9 @@ int CmdSlo(Options& options) {
       WithCommas(slo.fast_window_cycles).c_str(),
       WithCommas(slo.slow_window_cycles).c_str(), slo.fast_burn_threshold,
       slo.slow_burn_threshold);
-  for (size_t s = 0; s < result.evaluators.size(); ++s) {
+  for (size_t s = 0; s < result.slos.size(); ++s) {
     doc += StrFormat("shard %zu: %s\n", s,
-                     result.evaluators[s]->Summary().c_str());
+                     result.slos[s]->Summary().c_str());
   }
   return EmitDocument(options, doc);
 }
@@ -1514,17 +1269,7 @@ int CmdSlo(Options& options) {
 // so the diagnosis has both failure modes to tell apart. Every diagnostic
 // feed rides along per shard: a CycleProfiler with per-site epoch snapshots,
 // a SpanCollector with per-epoch span slices, and a tail ExemplarReservoir.
-struct WhyScenarioResult {
-  std::vector<std::unique_ptr<obs::SpanCollector>> collectors;
-  std::vector<std::unique_ptr<obs::SloEvaluator>> evaluators;
-  std::vector<std::unique_ptr<obs::CycleProfiler>> profilers;
-  std::vector<std::unique_ptr<obs::ExemplarReservoir>> exemplars;
-  std::vector<obs::TraceEvent> events;  // drained span/SLO/guard stream
-  adapt::GroupReport report;
-  double cycles_per_ns = 1.0;
-};
-
-int RunWhyScenario(Options& options, WhyScenarioResult* out) {
+int RunWhyScenario(Options& options, scenario::Outcome* out) {
   const uint64_t shards = options.PositiveU64("shards", 1);
   const uint64_t epoch = options.PositiveU64("epoch", 8);
   const uint64_t nodes = options.PositiveU64("nodes", 1 << 16);
@@ -1535,12 +1280,7 @@ int RunWhyScenario(Options& options, WhyScenarioResult* out) {
   const uint64_t guard_on = options.U64("guard", 0);
   const double threshold = options.Double("threshold", 0.25);
   const std::string fault_list = options.Str("fault", "");
-  const std::string arrival =
-      options.Choice("arrival", "poisson", {"poisson", "burst"});
-  const double rate = options.PositiveDouble("rate", 0.02);
-  const uint64_t duration = options.PositiveU64("duration", 4'000'000);
-  const uint64_t seed = options.PositiveU64("seed", 1);
-  const uint64_t queue_cap = options.PositiveU64("queue-cap", 32);
+  const scenario::Spec load = ReadOpenLoopFlags(options, 4'000'000);
   if (!options.ok()) {
     return options.UsageError();
   }
@@ -1551,131 +1291,37 @@ int RunWhyScenario(Options& options, WhyScenarioResult* out) {
     std::fprintf(stderr, "%s\n", scenario.status().ToString().c_str());
     return 1;
   }
-  const workloads::PhasedChase& chase = scenario->chase;
-  out->cycles_per_ns = scenario->pipeline.machine.cycles_per_ns;
 
-  adapt::ServerGroupConfig config;
-  config.shards = shards;
-  config.shard.controller.pipeline = scenario->pipeline;
-  config.shard.controller.drift_threshold = threshold;
-  config.shard.tasks_per_epoch = static_cast<int>(epoch);
-  config.shard.adapt_enabled = adapt_on != 0;
-  config.shard.scale_pool = adapt_on != 0;
-  config.shard.dual.max_scavengers = 4;
-  config.shard.dual.hide_window_cycles = 300;
-  config.guard.enabled = guard_on != 0;
+  scenario::Spec spec =
+      ServingSpec(*scenario, shards, epoch, adapt_on != 0, load);
+  spec.group.shard.controller.drift_threshold = threshold;
+  spec.group.guard.enabled = guard_on != 0;
   if (guard_on != 0) {
-    config.guard.confirmation_window = 2;
-    config.guard.consult_slo = true;
+    spec.group.guard.confirmation_window = 2;
+    spec.group.guard.consult_slo = true;
   }
-  const Status valid = config.Validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+  if (!ValidGroup(spec.group)) {
     return 2;
   }
-  if (!fault_list.empty()) {
-    auto specs = faultinject::ParseFaultList(fault_list);
-    if (!specs.ok()) {
-      std::fprintf(stderr, "yhc why: %s\n", specs.status().ToString().c_str());
-      return 2;
-    }
-    auto hooks = faultinject::MakeServingFaultHooks(
-        *specs, static_cast<isa::Addr>(chase.program().size()));
-    if (!hooks.ok()) {
-      std::fprintf(stderr, "yhc why: %s\n", hooks.status().ToString().c_str());
-      return 2;
-    }
-    config.fault_hooks = std::move(hooks).value();
+  if (!fault_list.empty() &&
+      !AddServingFaults(fault_list, "why", scenario->chase.program(),
+                        &spec.group)) {
+    return 2;
   }
+  obs::CycleProfilerConfig profiler;
+  profiler.epoch_site_snapshots = true;  // per-site deltas need slices
+  spec.observers.profiler = profiler;
+  spec.observers.spans = obs::SpanCollectorConfig{};
+  spec.observers.exemplars = obs::ExemplarReservoirConfig{};
+  spec.observers.slo = obs::SloConfig{};
 
-  obs::TraceConfig trace_config;
-  trace_config.capacity = 1 << 12;
-  trace_config.mask = obs::kTraceSpan | obs::kTraceSlo | obs::kTraceGuard;
-  obs::TraceRecorder recorder(trace_config);
-  recorder.SetSink([out](const obs::TraceEvent& event) {
-    out->events.push_back(event);
-  });
-
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<sim::Machine*> machine_ptrs;
-  for (uint64_t s = 0; s < shards; ++s) {
-    machines.push_back(
-        std::make_unique<sim::Machine>(scenario->pipeline.machine));
-    chase.InitMemory(machines.back()->memory());
-    machine_ptrs.push_back(machines.back().get());
-  }
-
-  adapt::ServerGroup group(&chase.program(), scenario->stale, machine_ptrs,
-                           config);
-  group.SetObservability(&recorder, nullptr);
-
-  serve::FrontEndConfig fe;
-  fe.arrival.kind = arrival == "burst" ? serve::ArrivalConfig::Kind::kBurst
-                                       : serve::ArrivalConfig::Kind::kPoisson;
-  fe.arrival.rate_per_kcycle = rate;
-  fe.arrival.horizon_cycles = duration;
-  fe.queue_capacity = queue_cap;
-  fe.scavengers_serve = true;
-  std::vector<std::unique_ptr<serve::ShardFrontEnd>> fronts;
-  for (uint64_t s = 0; s < shards; ++s) {
-    serve::FrontEndConfig shard_fe = fe;
-    shard_fe.arrival.seed = seed + s;
-    shard_fe.id_seed = seed + s;
-    const Status fe_valid = shard_fe.Validate();
-    if (!fe_valid.ok()) {
-      std::fprintf(stderr, "yhc why: %s\n", fe_valid.ToString().c_str());
-      return 2;
-    }
-    fronts.push_back(std::make_unique<serve::ShardFrontEnd>(
-        shard_fe,
-        [&chase](uint64_t id) {
-          return chase.SetupFor(static_cast<int>(id));
-        },
-        &recorder, nullptr, obs::Labels{}));
-    obs::CycleProfilerConfig prof_config;
-    prof_config.epoch_site_snapshots = true;  // per-site deltas need slices
-    out->profilers.push_back(
-        std::make_unique<obs::CycleProfiler>(prof_config));
-    group.SetProfiler(s, out->profilers.back().get());
-    out->collectors.push_back(std::make_unique<obs::SpanCollector>());
-    out->collectors.back()->SetTrace(&recorder);
-    out->exemplars.push_back(std::make_unique<obs::ExemplarReservoir>());
-    out->collectors.back()->SetExemplars(out->exemplars.back().get());
-    out->evaluators.push_back(
-        std::make_unique<obs::SloEvaluator>(obs::SloConfig{}));
-    out->evaluators.back()->SetTrace(&recorder, static_cast<int32_t>(s));
-    fronts.back()->SetSpanCollector(out->collectors.back().get());
-    fronts.back()->SetSloEvaluator(out->evaluators.back().get());
-    group.SetRequestSource(s, fronts.back().get());
-    group.SetScavengerFactory(s, fronts.back()->MakeScavengerFactory());
-    group.SetSpanCollector(s, out->collectors.back().get());
-    group.SetSloEvaluator(s, out->evaluators.back().get());
-    group.SetExemplar(s, out->exemplars.back().get());
-  }
-
-  auto report = group.Run();
-  if (!report.ok()) {
+  auto outcome = scenario::Run(spec);
+  if (!outcome.ok()) {
     std::fprintf(stderr, "why scenario failed: %s\n",
-                 report.status().ToString().c_str());
+                 outcome.status().ToString().c_str());
     return 1;
   }
-  recorder.DrainToSink();
-  out->report = std::move(report).value();
-
-  for (uint64_t s = 0; s < shards; ++s) {
-    const Status exact = out->collectors[s]->VerifyExactness();
-    if (!exact.ok()) {
-      std::fprintf(stderr, "internal error: span exactness broken: %s\n",
-                   exact.ToString().c_str());
-      return 1;
-    }
-    const Status ex_exact = out->exemplars[s]->VerifyExactness();
-    if (!ex_exact.ok()) {
-      std::fprintf(stderr, "internal error: exemplar exactness broken: %s\n",
-                   ex_exact.ToString().c_str());
-      return 1;
-    }
-  }
+  *out = std::move(outcome).value();
   return 0;
 }
 
@@ -1748,16 +1394,15 @@ int CmdWhy(Options& options) {
     }
   }
 
-  WhyScenarioResult result;
+  scenario::Outcome result;
   const int run = RunWhyScenario(options, &result);
   if (run != 0) {
     return run;
   }
 
-  obs::DiffEngine engine;
-  for (size_t s = 0; s < result.collectors.size(); ++s) {
-    engine.AddShard(result.profilers[s].get(), result.collectors[s].get());
-  }
+  // Guard decisions join by their group epoch, SLO alerts by their cycle
+  // stamp; both join the report, but only guard ACTIONS can flip the cause.
+  obs::DiffEngine engine = scenario::BuildDiffEngine(result);
   const size_t epochs = engine.epoch_count();
   if (epochs < 2) {
     std::fprintf(stderr,
@@ -1765,66 +1410,6 @@ int CmdWhy(Options& options) {
                  "to diff (raise --duration or --rate)\n",
                  epochs);
     return 1;
-  }
-
-  // Guard decisions carry their group epoch directly; SLO alert fire/clear
-  // events carry a cycle stamp the engine maps onto the firing shard's epoch
-  // timeline. Both join the report; only guard ACTIONS can flip the cause.
-  for (const adapt::GuardEvent& event : result.report.guard_log) {
-    obs::ControlEvent control;
-    control.epoch = event.epoch;
-    control.shard = event.shard;
-    control.generation_id = event.generation_id;
-    switch (event.kind) {
-      case adapt::GuardEventKind::kCanaryBegin:
-        control.kind = obs::ControlEvent::Kind::kCanaryBegin;
-        break;
-      case adapt::GuardEventKind::kPromote:
-        control.kind = obs::ControlEvent::Kind::kCanaryPromote;
-        break;
-      case adapt::GuardEventKind::kRollback:
-        control.kind = obs::ControlEvent::Kind::kCanaryRollback;
-        break;
-      case adapt::GuardEventKind::kPoisonBlocked:
-        control.kind = obs::ControlEvent::Kind::kPoisonBlocked;
-        break;
-      case adapt::GuardEventKind::kRebuildRetry:
-        control.kind = obs::ControlEvent::Kind::kRebuildRetry;
-        break;
-      case adapt::GuardEventKind::kWatchdogFire:
-        control.kind = obs::ControlEvent::Kind::kWatchdogFire;
-        break;
-      case adapt::GuardEventKind::kSloVeto:
-        control.kind = obs::ControlEvent::Kind::kSloVeto;
-        break;
-      case adapt::GuardEventKind::kStoreFallback:
-        continue;  // load-time artifact, not an epoch-window action
-      case adapt::GuardEventKind::kTenantQuarantine:
-      case adapt::GuardEventKind::kTenantVeto:
-        // Tenant-policy actions: the veto's effect already arrives as the
-        // kRollback it forces, and a quarantine changes evidence routing,
-        // not the serving generation — neither is a cause on its own.
-        continue;
-    }
-    engine.AddControlEvent(control);
-  }
-  for (const obs::TraceEvent& event : result.events) {
-    if (event.type != obs::TraceEventType::kSloAlertFire &&
-        event.type != obs::TraceEventType::kSloAlertClear) {
-      continue;
-    }
-    obs::ControlEvent control;
-    control.kind = event.type == obs::TraceEventType::kSloAlertFire
-                       ? obs::ControlEvent::Kind::kSloAlertFire
-                       : obs::ControlEvent::Kind::kSloAlertClear;
-    control.shard = event.ctx_id >= 0 ? static_cast<size_t>(event.ctx_id) : 0;
-    control.cycle = event.cycle;
-    auto mapped = engine.EpochForCycle(control.shard, event.cycle);
-    if (!mapped.ok()) {
-      continue;
-    }
-    control.epoch = mapped.value();
-    engine.AddControlEvent(control);
   }
 
   if (!generation_spec.empty()) {
@@ -1845,31 +1430,25 @@ int CmdWhy(Options& options) {
     };
     baseline = epochs_of(gen_baseline);
     current = epochs_of(gen_current);
-    std::set<int> served;
-    for (const adapt::AdaptReport& shard : result.report.shards) {
-      for (const adapt::EpochTelemetry& epoch : shard.epochs) {
-        served.insert(epoch.generation_id);
+    if (baseline.epochs.empty() || current.epochs.empty()) {
+      std::set<int> served;
+      for (const adapt::AdaptReport& shard : result.report.shards) {
+        for (const adapt::EpochTelemetry& epoch : shard.epochs) {
+          served.insert(epoch.generation_id);
+        }
       }
-    }
-    std::string known;
-    for (const int generation : served) {
-      if (!known.empty()) {
-        known += ",";
+      std::string known;
+      for (const int generation : served) {
+        if (!known.empty()) {
+          known += ",";
+        }
+        known += std::to_string(generation);
       }
-      known += std::to_string(generation);
-    }
-    if (baseline.epochs.empty()) {
       std::fprintf(stderr,
                    "yhc why: unknown generation %d (run served generations "
                    "%s)\n",
-                   gen_baseline, known.c_str());
-      return 2;
-    }
-    if (current.epochs.empty()) {
-      std::fprintf(stderr,
-                   "yhc why: unknown generation %d (run served generations "
-                   "%s)\n",
-                   gen_current, known.c_str());
+                   baseline.epochs.empty() ? gen_baseline : gen_current,
+                   known.c_str());
       return 2;
     }
   } else if (!windows_from_flag) {
@@ -1895,19 +1474,11 @@ int CmdWhy(Options& options) {
   const std::vector<obs::Exemplar> supporting =
       obs::SupportingExemplars(reservoirs, report->current,
                                /*max_exemplars=*/3);
-  std::string doc;
   if (options.Has("json")) {
-    doc = obs::ToDiffJson(*report, supporting);
-    const Status valid_json = obs::ValidateJson(doc);
-    if (!valid_json.ok()) {
-      std::fprintf(stderr, "internal error: diagnosis is not valid JSON: %s\n",
-                   valid_json.ToString().c_str());
-      return 1;
-    }
-  } else {
-    doc = obs::ToDiffText(*report, supporting);
+    return EmitDocument(options, obs::ToDiffJson(*report, supporting),
+                        "diagnosis");
   }
-  return EmitDocument(options, doc);
+  return EmitDocument(options, obs::ToDiffText(*report, supporting));
 }
 
 // Cycle-domain flight recording: run the adaptation scenario with a
@@ -1925,9 +1496,10 @@ int CmdTrace(Options& options) {
   trace_config.mask = static_cast<uint32_t>(mask);
   obs::TraceRecorder recorder(trace_config);
 
-  double cycles_per_ns = 1.0;
-  const int run = RunObservedAdaptScenario(options, &recorder, nullptr,
-                                           &cycles_per_ns);
+  scenario::Observers observers;
+  observers.trace = &recorder;
+  scenario::Outcome outcome;
+  const int run = RunObservedAdaptScenario(options, observers, &outcome);
   if (run != 0) {
     return run;
   }
@@ -1936,14 +1508,9 @@ int CmdTrace(Options& options) {
                static_cast<unsigned long long>(recorder.recorded()),
                static_cast<unsigned long long>(recorder.overwritten()),
                recorder.mask());
-  const std::string json = obs::ToChromeTraceJson(recorder, cycles_per_ns);
-  const Status valid = obs::ValidateJson(json);
-  if (!valid.ok()) {
-    std::fprintf(stderr, "internal error: exported trace is not valid JSON: %s\n",
-                 valid.ToString().c_str());
-    return 1;
-  }
-  return EmitDocument(options, json);
+  return EmitDocument(options, obs::ToChromeTraceJson(
+                          recorder, outcome.machines[0]->config().cycles_per_ns),
+                      "exported trace");
 }
 
 // Metrics snapshots: run the adaptation scenario with a MetricsRegistry
@@ -1985,7 +1552,10 @@ int CmdMetrics(Options& options) {
   }
 
   obs::MetricsRegistry registry;
-  const int run = RunObservedAdaptScenario(options, nullptr, &registry, nullptr);
+  scenario::Observers observers;
+  observers.metrics = &registry;
+  scenario::Outcome outcome;
+  const int run = RunObservedAdaptScenario(options, observers, &outcome);
   if (run != 0) {
     return run;
   }
