@@ -71,7 +71,7 @@ class InlinedLookups : public workloads::SimWorkload {
 
   const isa::Program& program() const override { return program_; }
 
-  void InitMemory(sim::SparseMemory& memory) const override {
+  void WriteImage(sim::SparseMemory& memory) const override {
     for (uint64_t i = 0; i < kBigLines; ++i) {
       memory.Write64(workloads::kDataRegionBase + i * 64, big_values_[i]);
     }

@@ -70,7 +70,7 @@ class GatherWorkload : public workloads::SimWorkload {
 
   const isa::Program& program() const override { return program_; }
 
-  void InitMemory(sim::SparseMemory& memory) const override {
+  void WriteImage(sim::SparseMemory& memory) const override {
     for (uint64_t i = 0; i < indices_.size(); ++i) {
       memory.Write64(workloads::kAuxRegionBase + i * 8, indices_[i]);
     }

@@ -14,6 +14,7 @@ Cache::Cache(const CacheLevelConfig& config) : config_(config), ways_(config.way
   assert(num_sets > 0 && IsPowerOfTwo(num_sets) &&
          "cache size must be a power-of-two multiple of line*ways");
   set_mask_ = num_sets - 1;
+  tracked_limit_ = num_sets / kTrackedSetsDivisor;
   // Stamps of invalid ways are never read, so one fill covers both halves.
   slots_.assign(num_sets * 2 * ways_, kInvalidTag);
 }
@@ -57,10 +58,18 @@ bool Cache::Install(uint64_t line_addr, uint64_t* evicted) {
     if (evicted != nullptr) {
       *evicted = tags[victim];
     }
+  } else if (lru == ways_) [[unlikely]] {
+    NoteFilled(line_addr & set_mask_);  // the set was empty
   }
   tags[victim] = line_addr;
   stamps[victim] = ++lru_clock_;
   return evicting;
+}
+
+void Cache::NoteFilled(uint64_t set) {
+  if (touched_.size() <= tracked_limit_) {
+    touched_.push_back(static_cast<uint32_t>(set));
+  }
 }
 
 bool Cache::Invalidate(uint64_t line_addr) {
@@ -74,7 +83,14 @@ bool Cache::Invalidate(uint64_t line_addr) {
 }
 
 void Cache::Reset() {
-  std::fill(slots_.begin(), slots_.end(), kInvalidTag);
+  if (touched_.size() > tracked_limit_) {
+    std::fill(slots_.begin(), slots_.end(), kInvalidTag);
+  } else {
+    for (uint32_t set : touched_) {
+      std::fill_n(&slots_[static_cast<uint64_t>(set) * 2 * ways_], 2 * ways_, kInvalidTag);
+    }
+  }
+  touched_.clear();
   lru_clock_ = 0;
   stats_ = Stats{};
 }

@@ -7,6 +7,13 @@
 // stays in the same block. An invalid way holds the sentinel tag
 // kInvalidTag, which no line address can equal: a line address is a byte
 // address shifted right by the line bits, so its top bits are zero.
+//
+// Reset: a set can only hold a line after an Install found it empty, so the
+// cache lists the sets where that happened since the last reset, and Reset
+// invalidates just those. A machine reset between short runs then costs what
+// the runs touched, not the whole array. Once more than num_sets /
+// kTrackedSetsDivisor sets are listed the list stops growing and Reset
+// refills the whole array, as it always did.
 #ifndef YIELDHIDE_SRC_SIM_CACHE_H_
 #define YIELDHIDE_SRC_SIM_CACHE_H_
 
@@ -37,7 +44,9 @@ class Cache {
   // Removes a line if present; returns whether it was present.
   bool Invalidate(uint64_t line_addr);
 
+  // Invalidates every way and zeroes the LRU clock and the stats.
   void Reset();
+  static constexpr uint64_t kTrackedSetsDivisor = 4;
 
   struct Stats {
     uint64_t lookups = 0;
@@ -56,6 +65,8 @@ class Cache {
   const uint64_t* SetOf(uint64_t line_addr) const {
     return &slots_[(line_addr & set_mask_) * 2 * ways_];
   }
+  // Lists `set` for the next Reset (Install found it empty).
+  void NoteFilled(uint64_t set);
   // Way index holding `line_addr` in `set`, or -1.
   int FindWay(const uint64_t* set, uint64_t line_addr) const {
     for (uint32_t w = 0; w < ways_; ++w) {
@@ -72,6 +83,11 @@ class Cache {
   uint64_t lru_clock_ = 0;
   std::vector<uint64_t> slots_;  // num_sets * 2 * ways, blocked by set
   Stats stats_;
+  // Sets an Install turned from empty to non-empty since the last Reset;
+  // holding more than tracked_limit_ entries means "refill everything".
+  // Kept after the fields a lookup touches.
+  std::vector<uint32_t> touched_;
+  size_t tracked_limit_;
 };
 
 }  // namespace yieldhide::sim

@@ -18,6 +18,10 @@ class Machine {
  public:
   explicit Machine(const MachineConfig& config)
       : config_(config), hierarchy_(config.hierarchy) {}
+  // Not copyable: a copy would carry the original's listener registrations,
+  // and a listener that detaches from one machine would stay on the other.
+  Machine(const Machine&) = delete;
+  Machine& operator=(const Machine&) = delete;
 
   const MachineConfig& config() const { return config_; }
   SparseMemory& memory() { return memory_; }

@@ -42,7 +42,7 @@ Result<ArrayScan> ArrayScan::Make(const Config& config) {
   return workload;
 }
 
-void ArrayScan::InitMemory(sim::SparseMemory& memory) const {
+void ArrayScan::WriteImage(sim::SparseMemory& memory) const {
   for (uint64_t i = 0; i < config_.num_elements; ++i) {
     memory.Write64(kDataRegionBase + i * 8, values_[i]);
   }

@@ -112,7 +112,7 @@ Result<BtreeLookup> BtreeLookup::Make(const Config& config) {
   return workload;
 }
 
-void BtreeLookup::InitMemory(sim::SparseMemory& memory) const {
+void BtreeLookup::WriteImage(sim::SparseMemory& memory) const {
   for (uint64_t slot = 0; slot < config_.num_keys; ++slot) {
     if (node_key_[slot] == 0) {
       continue;

@@ -26,7 +26,7 @@ class BtreeLookup : public SimWorkload {
   static Result<BtreeLookup> Make(const Config& config);
 
   const isa::Program& program() const override { return program_; }
-  void InitMemory(sim::SparseMemory& memory) const override;
+  void WriteImage(sim::SparseMemory& memory) const override;
   ContextSetup SetupFor(int index) const override;
   uint64_t ExpectedResult(int index) const override;
 

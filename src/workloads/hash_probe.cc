@@ -125,7 +125,7 @@ Result<HashProbe> HashProbe::Make(const Config& config) {
   return workload;
 }
 
-void HashProbe::InitMemory(sim::SparseMemory& memory) const {
+void HashProbe::WriteImage(sim::SparseMemory& memory) const {
   for (uint64_t bucket = 0; bucket < num_buckets(); ++bucket) {
     if (table_keys_[bucket] != 0) {
       memory.Write64(BucketAddr(bucket) + 0, table_keys_[bucket]);

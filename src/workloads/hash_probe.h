@@ -31,7 +31,7 @@ class HashProbe : public SimWorkload {
   static Result<HashProbe> Make(const Config& config);
 
   const isa::Program& program() const override { return program_; }
-  void InitMemory(sim::SparseMemory& memory) const override;
+  void WriteImage(sim::SparseMemory& memory) const override;
   ContextSetup SetupFor(int index) const override;
   uint64_t ExpectedResult(int index) const override;
 

@@ -96,7 +96,7 @@ Result<PhasedChase> PhasedChase::Make(const Config& config) {
   return workload;
 }
 
-void PhasedChase::InitMemory(sim::SparseMemory& memory) const {
+void PhasedChase::WriteImage(sim::SparseMemory& memory) const {
   for (uint64_t i = 0; i < next_a_.size(); ++i) {
     memory.Write64(NodeAddrA(i) + 0, NodeAddrA(next_a_[i]));
     memory.Write64(NodeAddrA(i) + 8, payload_a_[i]);

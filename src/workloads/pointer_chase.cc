@@ -66,7 +66,7 @@ Result<PointerChase> PointerChase::Make(const Config& config) {
   return workload;
 }
 
-void PointerChase::InitMemory(sim::SparseMemory& memory) const {
+void PointerChase::WriteImage(sim::SparseMemory& memory) const {
   for (uint64_t i = 0; i < config_.num_nodes; ++i) {
     memory.Write64(NodeAddr(i) + 0, NodeAddr(next_[i]));
     memory.Write64(NodeAddr(i) + 8, payload_[i]);

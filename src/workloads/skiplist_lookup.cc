@@ -133,7 +133,7 @@ Result<SkiplistLookup> SkiplistLookup::Make(const Config& config) {
   return workload;
 }
 
-void SkiplistLookup::InitMemory(sim::SparseMemory& memory) const {
+void SkiplistLookup::WriteImage(sim::SparseMemory& memory) const {
   for (uint64_t slot = 0; slot < node_key_.size(); ++slot) {
     const uint64_t addr = NodeAddr(slot);
     memory.Write64(addr + 0, node_key_[slot]);

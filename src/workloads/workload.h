@@ -7,11 +7,22 @@
 //
 // Every task writes its final checksum to a dedicated result slot in memory;
 // ReadResult() fetches it after a run.
+//
+// The image is computed once per workload object. The first InitMemory into
+// an empty memory writes it into a memory the workload keeps; that and every
+// later InitMemory into an empty memory copy-assign the kept one, which
+// shares its pages copy-on-write (src/sim/memory.h), so each further machine
+// costs a directory copy instead of a rewrite, and writes through one machine
+// stay invisible to the others and to the kept image. A workload is therefore
+// immutable once Make returns. The kept image is filled lazily from a const
+// method and is not thread-safe: one thread at a time may call InitMemory on
+// a given workload object.
 #ifndef YIELDHIDE_SRC_WORKLOADS_WORKLOAD_H_
 #define YIELDHIDE_SRC_WORKLOADS_WORKLOAD_H_
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 
 #include "src/isa/program.h"
 #include "src/sim/executor.h"
@@ -32,8 +43,21 @@ class SimWorkload {
   virtual ~SimWorkload() = default;
 
   virtual const isa::Program& program() const = 0;
-  // Writes the data image. Idempotent.
-  virtual void InitMemory(sim::SparseMemory& memory) const = 0;
+  // Loads the data image. An empty memory (no resident page) receives a
+  // copy of the kept image; a non-empty one gets WriteImage over its
+  // contents, so pages outside the image survive. Idempotent.
+  void InitMemory(sim::SparseMemory& memory) const {
+    if (memory.resident_pages() != 0) {
+      WriteImage(memory);
+      return;
+    }
+    if (!image_) {
+      WriteImage(image_.emplace());
+    }
+    memory = *image_;
+  }
+  // Writes the data image into `memory`, over whatever it holds. Idempotent.
+  virtual void WriteImage(sim::SparseMemory& memory) const = 0;
   // Register setup for task `index` (tasks are deterministic in index).
   virtual ContextSetup SetupFor(int index) const = 0;
   // Host-computed ground truth for task `index`.
@@ -45,6 +69,9 @@ class SimWorkload {
   uint64_t ReadResult(const sim::SparseMemory& memory, int index) const {
     return memory.Read64(ResultAddr(index));
   }
+
+ private:
+  mutable std::optional<sim::SparseMemory> image_;  // set by the first InitMemory
 };
 
 }  // namespace yieldhide::workloads

@@ -4,15 +4,21 @@
 // ReferenceCache is the original array-of-structs true-LRU cache (one Way
 // record per way with a `valid` flag). ReferenceMemory keeps every page in a
 // std::unordered_map. Every return value, every evicted line, the stats, and
-// the resident page count must match after every operation.
+// the resident page count must match after every operation. Copies of a
+// SparseMemory share pages copy-on-write; their reference is a copy of the
+// reference model by value, so any write that leaks between copies shows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -146,6 +152,7 @@ class ReferenceMemory {
   }
   size_t resident_pages() const { return pages_.size(); }
   void Clear() { pages_.clear(); }
+  const auto& pages() const { return pages_; }
 
  private:
   std::unordered_map<uint64_t, std::array<uint8_t, SparseMemory::kPageSize>> pages_;
@@ -161,20 +168,16 @@ void ExpectSameStats(const Cache::Stats& a, const Cache::Stats& b, uint64_t step
 }
 
 // Drives both caches with `steps` random operations. Most line addresses fall
-// in a handful of sets, so sets fill, evict and refresh constantly; the rest
-// are spread over a wide range.
-void RunCacheDifferential(const CacheLevelConfig& config, uint64_t seed, uint64_t steps) {
-  SCOPED_TRACE(config.name + " ways=" + std::to_string(config.ways) +
-               " seed=" + std::to_string(seed));
-  Cache cache(config);
-  ReferenceCache reference(config);
-  std::mt19937_64 rng(seed);
+// in the first `hot_sets` sets, so sets fill, evict and refresh constantly;
+// the rest are spread over a wide range.
+void DriveCaches(Cache& cache, ReferenceCache& reference, const CacheLevelConfig& config,
+                 std::mt19937_64& rng, uint64_t hot_sets, uint64_t steps) {
   const uint64_t sets = config.num_sets();
   auto next_line = [&]() -> uint64_t {
     if (rng() % 5 == 0) {
       return rng() >> 6;  // any line address of a 64-bit byte address
     }
-    const uint64_t set = rng() % (sets < 4 ? sets : 4);
+    const uint64_t set = rng() % hot_sets;
     return set + sets * (rng() % (3 * config.ways + 1));
   };
 
@@ -201,6 +204,15 @@ void RunCacheDifferential(const CacheLevelConfig& config, uint64_t seed, uint64_
     }
     ExpectSameStats(cache.stats(), reference.stats(), step);
   }
+}
+
+void RunCacheDifferential(const CacheLevelConfig& config, uint64_t seed, uint64_t steps) {
+  SCOPED_TRACE(config.name + " ways=" + std::to_string(config.ways) +
+               " seed=" + std::to_string(seed));
+  Cache cache(config);
+  ReferenceCache reference(config);
+  std::mt19937_64 rng(seed);
+  DriveCaches(cache, reference, config, rng, std::min<uint64_t>(config.num_sets(), 4), steps);
 }
 
 CacheLevelConfig Geometry(uint32_t ways, uint64_t sets) {
@@ -247,6 +259,84 @@ TEST(CacheDifferentialTest, InvalidatedWayIsFilledBeforeTheLruWay) {
   EXPECT_EQ(evicted, 10u);
   for (uint64_t line = 10; line <= 15; ++line) {
     EXPECT_EQ(cache.Contains(line), line != 10 && line != 12) << line;
+  }
+}
+
+// Installs lines into the first `touched` sets, then empties and refills the
+// first `refilled` of them with Invalidate, so those sets turn from empty to
+// non-empty twice. After Reset no old line may remain, and the cache must
+// track the reference (itself reset by a full sweep) op for op.
+void RunResetDifferential(const CacheLevelConfig& config, uint64_t touched,
+                          uint64_t refilled, uint64_t seed) {
+  SCOPED_TRACE(config.name + " sets=" + std::to_string(config.num_sets()) +
+               " touched=" + std::to_string(touched) +
+               " refilled=" + std::to_string(refilled));
+  Cache cache(config);
+  ReferenceCache reference(config);
+  std::mt19937_64 rng(seed);
+  const uint64_t sets = config.num_sets();
+  std::vector<uint64_t> installed;
+  for (uint64_t set = 0; set < touched; ++set) {
+    const uint64_t lines = 1 + rng() % (config.ways + 2);  // some sets evict
+    for (uint64_t i = 0; i < lines; ++i) {
+      const uint64_t line = set + sets * (rng() % 64);
+      cache.Install(line);
+      reference.Install(line, nullptr);
+      installed.push_back(line);
+    }
+  }
+  for (uint64_t set = 0; set < refilled; ++set) {
+    for (uint64_t tag = 0; tag < 64; ++tag) {
+      ASSERT_EQ(cache.Invalidate(set + sets * tag), reference.Invalidate(set + sets * tag));
+    }
+    const uint64_t line = set + sets * 99;
+    cache.Install(line);
+    reference.Install(line, nullptr);
+    installed.push_back(line);
+  }
+  ASSERT_EQ(cache.stats().installs, reference.stats().installs);
+
+  cache.Reset();
+  reference.Reset();
+  ExpectSameStats(cache.stats(), Cache::Stats{}, 0);
+  for (uint64_t line : installed) {
+    ASSERT_FALSE(cache.Contains(line)) << line;
+  }
+  const uint64_t hot = std::max<uint64_t>(1, std::min(touched, sets));
+  DriveCaches(cache, reference, config, rng, hot, 20'000);
+}
+
+TEST(CacheDifferentialTest, ResetBelowAndAboveTheTrackedSetLimit) {
+  const HierarchyConfig skylake = MachineConfig::SkylakeLike().hierarchy;
+  for (const CacheLevelConfig& config : {Geometry(4, 64), Geometry(1, 16), skylake.l2}) {
+    const uint64_t sets = config.num_sets();
+    const uint64_t limit = sets / Cache::kTrackedSetsDivisor;
+    for (uint64_t touched : {uint64_t{0}, uint64_t{1}, limit - 1, limit, limit + 1, sets}) {
+      RunResetDifferential(config, touched, 0, 17 + touched);
+    }
+    // A refilled set is listed twice: limit - 2 sets and two refills stay at
+    // the limit, three refills cross it.
+    RunResetDifferential(config, limit - 2, 2, 19);
+    RunResetDifferential(config, limit - 2, 3, 23);
+    RunResetDifferential(config, sets, sets, 29);
+  }
+}
+
+TEST(CacheDifferentialTest, RepeatedResetsOfOneCache) {
+  // Runs of growing footprint on one cache: every Reset takes whichever path
+  // the last run's footprint calls for, and the next run must not notice.
+  const CacheLevelConfig config = Geometry(4, 256);
+  Cache cache(config);
+  ReferenceCache reference(config);
+  std::mt19937_64 rng(31);
+  for (uint64_t hot : {1u, 8u, 64u, 65u, 200u, 3u, 256u, 2u}) {
+    SCOPED_TRACE("hot sets " + std::to_string(hot));
+    DriveCaches(cache, reference, config, rng, hot, 4'000);
+    cache.Reset();
+    reference.Reset();
+    for (uint64_t line = 0; line < 256 * 13; ++line) {  // every hot-set tag
+      ASSERT_FALSE(cache.Contains(line)) << line;
+    }
   }
 }
 
@@ -357,6 +447,207 @@ TEST(SparseMemoryDifferentialTest, HostPrefetchNeverAllocates) {
   memory.HostPrefetch(0x100000);
   EXPECT_EQ(memory.Read64(0x100000), 42u);
   EXPECT_EQ(memory.resident_pages(), 1u);
+}
+
+// --- SparseMemory copies --------------------------------------------------------
+
+// Every resident page of `memory` by page number, checking that each is
+// reported once and at a page boundary.
+std::map<uint64_t, const uint8_t*> PagesOf(const SparseMemory& memory) {
+  std::map<uint64_t, const uint8_t*> pages;
+  memory.ForEachPage([&](uint64_t base, const uint8_t* bytes) {
+    EXPECT_EQ(base % SparseMemory::kPageSize, 0u) << base;
+    EXPECT_TRUE(pages.emplace(base >> SparseMemory::kPageBits, bytes).second) << base;
+  });
+  return pages;
+}
+
+void ExpectSamePages(const SparseMemory& memory, const ReferenceMemory& reference) {
+  const std::map<uint64_t, const uint8_t*> pages = PagesOf(memory);
+  ASSERT_EQ(pages.size(), reference.pages().size());
+  for (const auto& [number, bytes] : reference.pages()) {
+    auto it = pages.find(number);
+    ASSERT_NE(it, pages.end()) << "page " << number;
+    ASSERT_EQ(std::memcmp(it->second, bytes.data(), SparseMemory::kPageSize), 0)
+        << "page " << number;
+  }
+}
+
+// An original and two copies, each checked against its own reference model;
+// the references are copied by value wherever the memories are copied.
+// Writes, Clear and re-copying land on a random side at every step, and
+// reads check all three sides, so a write that reaches a sharer shows.
+void RunCopyOnWriteDifferential(uint64_t seed, uint64_t steps) {
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  std::mt19937_64 rng(seed);
+  std::array<SparseMemory, 3> memories;
+  std::array<ReferenceMemory, 3> references;
+  std::vector<uint64_t> written;
+  auto next_address = [&]() {
+    if (!written.empty() && rng() % 2 == 0) {
+      return written[rng() % written.size()] + rng() % 3;
+    }
+    return NextAddress(rng);
+  };
+  for (int i = 0; i < 3'000; ++i) {
+    const uint64_t addr = next_address();
+    const uint64_t value = rng();
+    memories[0].Write64(addr, value);
+    references[0].Write64(addr, value);
+    written.push_back(addr);
+  }
+  memories[1] = memories[0];                       // copy assignment
+  memories[2] = SparseMemory(memories[0]);         // copy, then move assignment
+  references[1] = references[2] = references[0];
+
+  for (uint64_t step = 0; step < steps; ++step) {
+    const size_t side = rng() % 3;
+    const uint64_t addr = next_address();
+    const uint64_t op = rng() % 1000;
+    if (op < 300) {
+      const uint64_t value = rng();
+      memories[side].Write64(addr, value);
+      references[side].Write64(addr, value);
+      written.push_back(addr);
+    } else if (op < 400) {
+      const uint8_t value = static_cast<uint8_t>(rng());
+      memories[side].WriteByte(addr, value);
+      references[side].WriteByte(addr, value);
+      written.push_back(addr);
+    } else if (op < 980) {
+      for (size_t s = 0; s < 3; ++s) {
+        ASSERT_EQ(memories[s].Read64(addr), references[s].Read64(addr))
+            << "step " << step << " side " << s << " addr " << addr;
+        ASSERT_EQ(memories[s].ReadByte(addr), references[s].ReadByte(addr))
+            << "step " << step << " side " << s << " addr " << addr;
+      }
+    } else if (op < 995) {
+      const size_t from = rng() % 3;  // may be `side` itself
+      memories[side] = memories[from];
+      references[side] = references[from];
+    } else {
+      memories[side].Clear();
+      references[side].Clear();
+    }
+    for (size_t s = 0; s < 3; ++s) {
+      ASSERT_EQ(memories[s].resident_pages(), references[s].resident_pages())
+          << "step " << step << " side " << s;
+    }
+  }
+  for (size_t s = 0; s < 3; ++s) {
+    SCOPED_TRACE("side " + std::to_string(s));
+    ExpectSamePages(memories[s], references[s]);
+    for (uint64_t addr : written) {
+      ASSERT_EQ(memories[s].Read64(addr), references[s].Read64(addr)) << addr;
+    }
+  }
+}
+
+TEST(SparseMemoryDifferentialTest, CopiesDivergeLikeValueCopies) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RunCopyOnWriteDifferential(seed, 20'000);
+  }
+}
+
+TEST(SparseMemoryDifferentialTest, CopySharesEveryPageUntilItIsWritten) {
+  // 3 leaves of pages below the flat limit plus two overflow pages.
+  SparseMemory original;
+  ReferenceMemory reference;
+  for (uint64_t page = 0; page < 3 * 512; page += 3) {
+    original.Write64(page * SparseMemory::kPageSize + 8, page);
+    reference.Write64(page * SparseMemory::kPageSize + 8, page);
+  }
+  for (uint64_t addr : std::initializer_list<uint64_t>{SparseMemory::kFlatLimit, ~0ull - 7}) {
+    original.Write64(addr, addr);
+    reference.Write64(addr, addr);
+  }
+  SparseMemory copy(original);
+  EXPECT_EQ(copy.resident_pages(), original.resident_pages());
+  const std::map<uint64_t, const uint8_t*> before = PagesOf(original);
+  const uint64_t flat_limit_page = SparseMemory::kFlatLimit >> SparseMemory::kPageBits;
+  for (const auto& [number, bytes] : PagesOf(copy)) {
+    // Directory pages are shared, overflow pages copied.
+    EXPECT_EQ(bytes == before.at(number), number < flat_limit_page) << "page " << number;
+  }
+
+  // A misaligned write straddling pages 3 and 4 (4 is not resident yet)
+  // gives the copy its own page 3, a new page 4, and nothing else.
+  copy.Write64(4 * SparseMemory::kPageSize - 3, 0x0102030405060708ull);
+  EXPECT_EQ(copy.resident_pages(), original.resident_pages() + 1);
+  for (const auto& [number, bytes] : PagesOf(copy)) {
+    if (number < flat_limit_page && number != 3 && number != 4) {
+      EXPECT_EQ(bytes, before.at(number)) << "page " << number;
+    }
+  }
+  EXPECT_NE(PagesOf(copy).at(3), before.at(3));
+  EXPECT_EQ(PagesOf(original), before);
+  ExpectSamePages(original, reference);
+  EXPECT_EQ(copy.Read64(4 * SparseMemory::kPageSize - 3), 0x0102030405060708ull);
+  EXPECT_EQ(copy.Read64(3 * SparseMemory::kPageSize + 8), 3u);  // copied with the page
+  EXPECT_EQ(original.Read64(4 * SparseMemory::kPageSize - 3), 0u);
+
+  // The original's pages outlive it in the copy; the copy's writes outlive
+  // nothing of the original.
+  original.Clear();
+  EXPECT_EQ(original.resident_pages(), 0u);
+  EXPECT_EQ(copy.Read64(6 * SparseMemory::kPageSize + 8), 6u);
+  EXPECT_EQ(copy.Read64(600 * SparseMemory::kPageSize + 8), 600u);  // a leaf still shared
+  EXPECT_EQ(copy.Read64(SparseMemory::kFlatLimit), SparseMemory::kFlatLimit);
+  {
+    SparseMemory scoped(copy);
+    scoped.Write64(9 * SparseMemory::kPageSize + 8, 1234);
+    copy = scoped;  // the copy now shares the scoped memory's pages
+  }
+  EXPECT_EQ(copy.Read64(9 * SparseMemory::kPageSize + 8), 1234u);
+  EXPECT_EQ(copy.Read64(12 * SparseMemory::kPageSize + 8), 12u);
+}
+
+TEST(SparseMemoryDifferentialTest, MovedFromMemoryIsEmpty) {
+  SparseMemory memory;
+  memory.Write64(0x100000, 7);
+  memory.Write64(SparseMemory::kFlatLimit + 64, 8);
+  SparseMemory moved(std::move(memory));
+  EXPECT_EQ(moved.resident_pages(), 2u);
+  EXPECT_EQ(moved.Read64(0x100000), 7u);
+  EXPECT_EQ(memory.resident_pages(), 0u);
+  EXPECT_EQ(memory.Read64(0x100000), 0u);
+  memory.Write64(0x100000, 9);
+  EXPECT_EQ(moved.Read64(0x100000), 7u);
+}
+
+TEST(SparseMemoryDifferentialTest, CopiesWrittenOnTwoThreads) {
+  // Two copies of one image, each written and then destroyed on its own
+  // thread: both copy the shared leaves and pages at once and drop their
+  // references at once. The reference counts must let neither thread see
+  // the other's writes, and free each page exactly once.
+  constexpr uint64_t kPages = 1024;  // two leaves
+  std::array<SparseMemory, 2> copies;
+  {
+    SparseMemory image;
+    for (uint64_t page = 0; page < kPages; ++page) {
+      image.Write64(page * SparseMemory::kPageSize, page);
+    }
+    copies = {image, image};
+  }
+  std::array<uint64_t, 2> wrong = {0, 0};
+  auto work = [&](size_t t) {
+    SparseMemory mine = std::move(copies[t]);
+    const uint64_t tag = (t + 1) << 32;
+    for (uint64_t page = 0; page < kPages; page += 1 + t) {
+      mine.Write64(page * SparseMemory::kPageSize + 8, tag | page);
+    }
+    for (uint64_t page = 0; page < kPages; ++page) {
+      const uint64_t base = page * SparseMemory::kPageSize;
+      const uint64_t expected = page % (1 + t) == 0 ? (tag | page) : 0;
+      wrong[t] += (mine.Read64(base) != page) + (mine.Read64(base + 8) != expected);
+    }
+  };
+  std::thread first(work, 0);
+  std::thread second(work, 1);
+  first.join();
+  second.join();
+  EXPECT_EQ(wrong[0], 0u);
+  EXPECT_EQ(wrong[1], 0u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,12 @@
 #include "src/runtime/round_robin.h"
 #include "src/sim/executor.h"
 #include "src/sim/smt_core.h"
+#include "src/workloads/array_scan.h"
+#include "src/workloads/btree_lookup.h"
+#include "src/workloads/hash_probe.h"
+#include "src/workloads/phased_chase.h"
+#include "src/workloads/pointer_chase.h"
+#include "src/workloads/skiplist_lookup.h"
 
 namespace yieldhide {
 namespace {
@@ -570,6 +577,86 @@ TEST(SimGoldenTest, DualModeWithChaseScavengers) {
       {"l3.installs", 6766},
       {"l3.evictions", 6510},
   });
+}
+
+// --- A reset machine runs like a fresh one ---------------------------------------
+
+// Runs tasks 0..tasks-1 of `workload` round-robin on `machine`, whose memory
+// already holds the image, and checks every task's result.
+Snapshot RunWorkload(const workloads::SimWorkload& workload, sim::Machine& machine,
+                     int tasks) {
+  auto binary = runtime::AnnotateManualYields(workload.program(), machine.config().cost);
+  runtime::RoundRobinScheduler sched(&binary, &machine);
+  for (int i = 0; i < tasks; ++i) {
+    sched.AddCoroutine(workload.SetupFor(i));
+  }
+  auto report = sched.Run(50'000'000);
+  EXPECT_TRUE(report.ok()) << report.status();
+  for (int i = 0; i < tasks; ++i) {
+    EXPECT_EQ(workload.ReadResult(machine.memory(), i), workload.ExpectedResult(i)) << i;
+  }
+  Snapshot snap;
+  AddRun(snap, report.value());
+  AddHierarchy(snap, machine.hierarchy());
+  return snap;
+}
+
+// A machine after ResetMicroarchState, and a second machine loading the same
+// workload's image, must give a fresh machine's cycles, per-task latencies
+// and counters. The footprints differ so that a reset takes both of
+// Cache::Reset's paths: the chase touches most L3 sets, the kernels few.
+TEST(SimGoldenTest, ResetMachineRunsLikeAFreshOne) {
+  std::vector<std::pair<std::unique_ptr<workloads::SimWorkload>, int>> cases;
+  workloads::PointerChase::Config chase;
+  chase.num_nodes = 1 << 14;
+  chase.steps_per_task = 512;
+  chase.manual_prefetch_yield = true;
+  cases.emplace_back(std::make_unique<workloads::PointerChase>(
+                         workloads::PointerChase::Make(chase).value()), 16);
+  workloads::PhasedChase::Config phased;
+  phased.num_nodes = 1 << 12;
+  phased.steps_per_task = 256;
+  cases.emplace_back(std::make_unique<workloads::PhasedChase>(
+                         workloads::PhasedChase::Make(phased).value()), 12);
+  workloads::HashProbe::Config hash;
+  hash.buckets_log2 = 12;
+  hash.keys_per_task = 64;
+  hash.num_tasks = 8;
+  cases.emplace_back(std::make_unique<workloads::HashProbe>(
+                         workloads::HashProbe::Make(hash).value()), 8);
+  workloads::BtreeLookup::Config btree;
+  btree.num_keys = 4096;
+  btree.lookups_per_task = 64;
+  btree.num_tasks = 8;
+  cases.emplace_back(std::make_unique<workloads::BtreeLookup>(
+                         workloads::BtreeLookup::Make(btree).value()), 8);
+  workloads::SkiplistLookup::Config skiplist;
+  skiplist.num_keys = 2048;
+  skiplist.max_level = 8;
+  skiplist.lookups_per_task = 32;
+  skiplist.num_tasks = 8;
+  cases.emplace_back(std::make_unique<workloads::SkiplistLookup>(
+                         workloads::SkiplistLookup::Make(skiplist).value()), 8);
+  workloads::ArrayScan::Config scan;
+  scan.num_elements = 1 << 14;
+  scan.elements_per_task = 1024;
+  cases.emplace_back(std::make_unique<workloads::ArrayScan>(
+                         workloads::ArrayScan::Make(scan).value()), 8);
+
+  for (const auto& [workload, tasks] : cases) {
+    SCOPED_TRACE(workload->program().name());
+    sim::Machine machine(sim::MachineConfig::SkylakeLike());
+    workload->InitMemory(machine.memory());
+    const Snapshot fresh = RunWorkload(*workload, machine, tasks);
+    EXPECT_GT(fresh.front().second, 0u);  // total_cycles
+
+    machine.ResetMicroarchState();
+    EXPECT_EQ(RunWorkload(*workload, machine, tasks), fresh);
+
+    sim::Machine second(sim::MachineConfig::SkylakeLike());
+    workload->InitMemory(second.memory());
+    EXPECT_EQ(RunWorkload(*workload, second, tasks), fresh);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <vector>
+
 #include "src/sim/executor.h"
 #include "src/workloads/array_scan.h"
 #include "src/workloads/btree_lookup.h"
 #include "src/workloads/hash_probe.h"
+#include "src/workloads/phased_chase.h"
 #include "src/workloads/pointer_chase.h"
 #include "src/workloads/skiplist_lookup.h"
 #include "src/workloads/zipf.h"
@@ -299,6 +305,118 @@ TEST(ZipfTest, LowThetaIsNearUniform) {
     top10 += zipf.Next() < 10 ? 1 : 0;
   }
   EXPECT_LT(static_cast<double>(top10) / kDraws, 0.05);
+}
+
+// --- Image memo --------------------------------------------------------------------
+
+using PageMap = std::map<uint64_t, std::vector<uint8_t>>;
+
+// Every resident page of `memory`, copied out, by base address.
+PageMap Pages(const sim::SparseMemory& memory) {
+  PageMap pages;
+  memory.ForEachPage([&](uint64_t base, const uint8_t* bytes) {
+    pages[base].assign(bytes, bytes + sim::SparseMemory::kPageSize);
+  });
+  return pages;
+}
+
+// A small, fresh instance of every workload in src/workloads.
+std::vector<std::unique_ptr<SimWorkload>> EveryWorkload() {
+  std::vector<std::unique_ptr<SimWorkload>> out;
+  PointerChase::Config chase;
+  chase.num_nodes = 256;
+  chase.steps_per_task = 50;
+  out.push_back(std::make_unique<PointerChase>(PointerChase::Make(chase).value()));
+  PhasedChase::Config phased;
+  phased.num_nodes = 256;
+  phased.steps_per_task = 50;
+  out.push_back(std::make_unique<PhasedChase>(PhasedChase::Make(phased).value()));
+  HashProbe::Config hash;
+  hash.buckets_log2 = 8;
+  hash.keys_per_task = 32;
+  hash.num_tasks = 4;
+  out.push_back(std::make_unique<HashProbe>(HashProbe::Make(hash).value()));
+  BtreeLookup::Config btree;
+  btree.num_keys = 256;
+  btree.lookups_per_task = 32;
+  btree.num_tasks = 4;
+  out.push_back(std::make_unique<BtreeLookup>(BtreeLookup::Make(btree).value()));
+  SkiplistLookup::Config skiplist;
+  skiplist.num_keys = 256;
+  skiplist.max_level = 6;
+  skiplist.lookups_per_task = 32;
+  skiplist.num_tasks = 4;
+  out.push_back(std::make_unique<SkiplistLookup>(SkiplistLookup::Make(skiplist).value()));
+  ArrayScan::Config scan;
+  scan.num_elements = 1024;
+  scan.elements_per_task = 128;
+  out.push_back(std::make_unique<ArrayScan>(ArrayScan::Make(scan).value()));
+  return out;
+}
+
+TEST(ImageMemoTest, InitMemoryMatchesWriteImage) {
+  for (const auto& workload : EveryWorkload()) {
+    SCOPED_TRACE(workload->program().name());
+    sim::SparseMemory written;
+    workload->WriteImage(written);
+    ASSERT_GT(written.resident_pages(), 0u);
+    // The first call fills the kept image, the second copies it.
+    for (int call = 0; call < 2; ++call) {
+      sim::SparseMemory loaded;
+      workload->InitMemory(loaded);
+      EXPECT_EQ(loaded.resident_pages(), written.resident_pages()) << "call " << call;
+      EXPECT_EQ(Pages(loaded), Pages(written)) << "call " << call;
+    }
+  }
+}
+
+TEST(ImageMemoTest, WritesThroughOneMachineStayInIt) {
+  for (const auto& workload : EveryWorkload()) {
+    SCOPED_TRACE(workload->program().name());
+    sim::Machine a(sim::MachineConfig::SmallTest());
+    sim::Machine b(sim::MachineConfig::SmallTest());
+    workload->InitMemory(a.memory());
+    workload->InitMemory(b.memory());
+    const PageMap image = Pages(b.memory());
+    for (const auto& [base, bytes] : image) {
+      a.memory().Write64(base, ~0ull);
+      a.memory().WriteByte(base + sim::SparseMemory::kPageSize - 1, 0x5a);
+    }
+    a.memory().Write64(workload->ResultAddr(0), 77);
+    EXPECT_EQ(Pages(b.memory()), image);
+
+    // A machine made after the writes still gets the untouched image, and
+    // runs task 0 to the host-computed result on it.
+    RunAndCheck(*workload, 0);
+    sim::Machine c(sim::MachineConfig::SmallTest());
+    workload->InitMemory(c.memory());
+    EXPECT_EQ(Pages(c.memory()), image);
+  }
+}
+
+TEST(ImageMemoTest, NonEmptyMemoryGetsTheImageWrittenOverIt) {
+  for (const auto& workload : EveryWorkload()) {
+    SCOPED_TRACE(workload->program().name());
+    sim::SparseMemory image;
+    workload->WriteImage(image);
+    const uint64_t first_page = Pages(image).begin()->first;
+    // Before and after the kept image exists: a page outside the image and
+    // the last word of its first page are there before InitMemory.
+    for (int round = 0; round < 2; ++round) {
+      sim::SparseMemory expected;
+      sim::SparseMemory actual;
+      for (sim::SparseMemory* memory : {&expected, &actual}) {
+        memory->Write64(0x1000, 5);
+        memory->Write64(first_page + sim::SparseMemory::kPageSize - 8, 6);
+      }
+      workload->WriteImage(expected);
+      workload->InitMemory(actual);
+      EXPECT_EQ(Pages(actual), Pages(expected)) << "round " << round;
+      EXPECT_EQ(actual.Read64(0x1000), 5u);
+      sim::SparseMemory empty;
+      workload->InitMemory(empty);  // fills the kept image for round 1
+    }
+  }
 }
 
 }  // namespace
