@@ -98,6 +98,13 @@ StepResult Executor::Step(CpuContext& ctx, StallPolicy policy) {
           insn.op == Opcode::kLoad
               ? regs[insn.rs1] + static_cast<uint64_t>(insn.imm)
               : regs[insn.rs1] + regs[insn.rs2] * static_cast<uint64_t>(insn.imm);
+      // Start the host fill of the image bytes before the tag walk below, so
+      // the host misses of the two overlap. The prefetch must be issued here,
+      // in a function with side effects: GCC deletes a call to a const helper
+      // whose only effect is a prefetch.
+      if (const uint8_t* bytes = machine_->memory().HostBytes(vaddr)) {
+        __builtin_prefetch(bytes);
+      }
       const AccessResult access = machine_->hierarchy().AccessLoad(vaddr, now);
       const uint32_t hit_cost = machine_->config().hierarchy.l1.latency_cycles;
       result.issue_cycles = access.latency_cycles < hit_cost ? access.latency_cycles : hit_cost;
@@ -123,11 +130,14 @@ StepResult Executor::Step(CpuContext& ctx, StallPolicy policy) {
     }
     case Opcode::kPrefetch: {
       const uint64_t vaddr = regs[insn.rs1] + static_cast<uint64_t>(insn.imm);
-      machine_->hierarchy().Prefetch(vaddr, now);
       // The paper's mechanism, applied to the simulator itself: the matching
       // load retires after other contexts have run, so the host cache fill
-      // of the image bytes overlaps with their simulation.
-      machine_->memory().HostPrefetch(vaddr);
+      // of the image bytes overlaps with their simulation. Issued before the
+      // tag walk, as for a load.
+      if (const uint8_t* bytes = machine_->memory().HostBytes(vaddr)) {
+        __builtin_prefetch(bytes);
+      }
+      machine_->hierarchy().Prefetch(vaddr, now);
       result.issue_cycles = cost.prefetch_cycles;
       machine_->listeners().OnPrefetch(ctx.id, ip, vaddr, now);
       break;

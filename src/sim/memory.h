@@ -23,11 +23,14 @@
 // caches, since the simulator is itself bound by host misses on its own data.
 // This table resolves a page by indexing alone, with no hashing: a leaf slot
 // is a plain pointer to the page's bytes (the count sits after them), so
-// sharing adds no indirection to Read64 or HostPrefetch. Write64 checks both
+// sharing adds no indirection to Read64 or HostBytes. Write64 checks both
 // counts inline and leaves the page to an out-of-line path only when it is
-// missing or shared. The cache levels in front of it (src/sim/cache.h) keep
-// one uint64_t array, blocked by set: each set's `ways` tags, then its `ways`
-// LRU stamps, with the sentinel tag ~0 marking an invalid way.
+// missing or shared. For every simulated LOAD, LOADX and PREFETCH, the
+// executor host-prefetches the image bytes through HostBytes before it walks
+// the simulated cache tags, so the two host misses overlap. The cache levels
+// in front of it (src/sim/cache.h) keep one uint64_t array, blocked by set:
+// each set's `ways` tags, then its `ways` LRU stamps, with the sentinel tag ~0
+// marking an invalid way.
 #ifndef YIELDHIDE_SRC_SIM_MEMORY_H_
 #define YIELDHIDE_SRC_SIM_MEMORY_H_
 
@@ -94,14 +97,15 @@ class SparseMemory {
     EnsurePage(addr)[addr & (kPageSize - 1)] = value;
   }
 
-  // Host-side hint that `addr` will be read soon: starts a host cache fill
-  // of the image bytes. No effect on the image or on anything simulated.
-  void HostPrefetch(uint64_t addr) const {
-    if (addr < kFlatLimit) {
-      if (const uint8_t* page = FindFlatPage(addr)) {
-        __builtin_prefetch(page + (addr & (kPageSize - 1)));
-      }
+  // The host address of the byte at `addr` when its page is resident and
+  // below kFlatLimit, else nullptr. Never allocates. For host prefetch hints,
+  // which the caller must issue itself (see Executor::Step).
+  const uint8_t* HostBytes(uint64_t addr) const {
+    if (addr >= kFlatLimit) {
+      return nullptr;
     }
+    const uint8_t* page = FindFlatPage(addr);
+    return page == nullptr ? nullptr : page + (addr & (kPageSize - 1));
   }
 
   // Pages this memory holds, shared or not: every page written since the

@@ -370,6 +370,18 @@ uint64_t NextAddress(std::mt19937_64& rng) {
   }
 }
 
+// HostBytes points at the byte the reads see when its page is resident below
+// the flat limit, and is null everywhere else.
+void ExpectHostBytes(const SparseMemory& memory, const ReferenceMemory& reference,
+                     uint64_t addr) {
+  const uint8_t* bytes = memory.HostBytes(addr);
+  const bool resident = reference.pages().count(addr >> SparseMemory::kPageBits) != 0;
+  ASSERT_EQ(bytes != nullptr, addr < SparseMemory::kFlatLimit && resident) << addr;
+  if (bytes != nullptr) {
+    ASSERT_EQ(*bytes, reference.ReadByte(addr)) << addr;
+  }
+}
+
 void RunMemoryDifferential(uint64_t seed, uint64_t steps) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   SparseMemory memory;
@@ -400,7 +412,7 @@ void RunMemoryDifferential(uint64_t seed, uint64_t steps) {
       ASSERT_EQ(memory.ReadByte(addr), reference.ReadByte(addr))
           << "step " << step << " addr " << addr;
     } else if (op < 99) {
-      memory.HostPrefetch(addr);  // a pure host hint: no visible effect
+      ExpectHostBytes(memory, reference, addr);
     } else if (rng() % 4 == 0) {
       memory.Clear();
       reference.Clear();
@@ -435,18 +447,82 @@ TEST(SparseMemoryDifferentialTest, StraddlesTheFlatLimit) {
   EXPECT_EQ(memory.resident_pages(), 0u);
 }
 
-TEST(SparseMemoryDifferentialTest, HostPrefetchNeverAllocates) {
+// The eight bytes at HostBytes(addr), which must not be null.
+uint64_t HostRead64(const SparseMemory& memory, uint64_t addr) {
+  const uint8_t* bytes = memory.HostBytes(addr);
+  EXPECT_NE(bytes, nullptr) << addr;
+  uint64_t value = 0;
+  if (bytes != nullptr) {
+    std::memcpy(&value, bytes, sizeof(value));
+  }
+  return value;
+}
+
+TEST(SparseMemoryDifferentialTest, HostBytesFindsResidentFlatBytesOnly) {
+  constexpr uint64_t kLeafSize = SparseMemory::kPageSize << SparseMemory::kLeafBits;
+  constexpr uint64_t kLimit = SparseMemory::kFlatLimit;
   SparseMemory memory;
-  for (uint64_t addr : std::initializer_list<uint64_t>{
-           0, 0x100000, SparseMemory::kFlatLimit - 1, SparseMemory::kFlatLimit, ~0ull}) {
-    memory.HostPrefetch(addr);
-    EXPECT_EQ(memory.Read64(addr & ~7ull), 0u);
+  for (uint64_t addr : std::initializer_list<uint64_t>{0, 0x100000, kLimit - 1, kLimit, ~0ull}) {
+    EXPECT_EQ(memory.HostBytes(addr), nullptr) << addr;
   }
   EXPECT_EQ(memory.resident_pages(), 0u);
+
   memory.Write64(0x100000, 42);
-  memory.HostPrefetch(0x100000);
-  EXPECT_EQ(memory.Read64(0x100000), 42u);
-  EXPECT_EQ(memory.resident_pages(), 1u);
+  EXPECT_EQ(HostRead64(memory, 0x100000), 42u);
+  EXPECT_EQ(memory.HostBytes(0x100003), memory.HostBytes(0x100000) + 3);
+  EXPECT_EQ(memory.HostBytes(0x100000 + SparseMemory::kPageSize), nullptr);  // unwritten page
+  EXPECT_EQ(memory.HostBytes(kLeafSize), nullptr);  // past the directory end
+  EXPECT_EQ(memory.HostBytes(kLimit - 8), nullptr);  // far past it
+  memory.Write64(3 * kLeafSize + 16, 43);
+  EXPECT_EQ(memory.HostBytes(kLeafSize), nullptr);  // a null leaf inside it
+  EXPECT_EQ(HostRead64(memory, 3 * kLeafSize + 16), 43u);
+  memory.Write64(kLimit - 8, 44);  // the last flat word
+  memory.Write64(kLimit, 45);  // overflow map
+  memory.Write64(~0ull - 7, 46);
+  EXPECT_EQ(HostRead64(memory, kLimit - 8), 44u);
+  EXPECT_EQ(memory.HostBytes(kLimit), nullptr);
+  EXPECT_EQ(memory.HostBytes(~0ull - 7), nullptr);
+  EXPECT_EQ(memory.Read64(kLimit), 45u);
+
+  // Every aligned word of every resident flat page reads the same through
+  // HostBytes as through Read64, and no lookup allocates.
+  const size_t resident = memory.resident_pages();
+  EXPECT_EQ(resident, 5u);
+  uint64_t flat_pages = 0;
+  memory.ForEachPage([&](uint64_t base, const uint8_t* page) {
+    if (base >= kLimit) {
+      return;
+    }
+    ++flat_pages;
+    EXPECT_EQ(memory.HostBytes(base), page) << base;
+    for (uint64_t offset = 0; offset < SparseMemory::kPageSize; offset += 8) {
+      ASSERT_EQ(HostRead64(memory, base + offset), memory.Read64(base + offset)) << base + offset;
+    }
+  });
+  EXPECT_EQ(flat_pages, 3u);
+  EXPECT_EQ(memory.resident_pages(), resident);
+}
+
+TEST(SparseMemoryDifferentialTest, HostBytesFollowsCopyOnWrite) {
+  SparseMemory original;
+  for (uint64_t page = 0; page < 4; ++page) {
+    original.Write64(page * SparseMemory::kPageSize, page);
+  }
+  SparseMemory copy(original);
+  for (uint64_t page = 0; page < 4; ++page) {
+    const uint64_t addr = page * SparseMemory::kPageSize;
+    EXPECT_EQ(copy.HostBytes(addr), original.HostBytes(addr)) << page;  // shared
+  }
+  const uint8_t* shared = original.HostBytes(SparseMemory::kPageSize);
+  copy.Write64(SparseMemory::kPageSize, 100);
+  EXPECT_NE(copy.HostBytes(SparseMemory::kPageSize), shared);  // the copy's own page
+  EXPECT_EQ(original.HostBytes(SparseMemory::kPageSize), shared);
+  EXPECT_EQ(HostRead64(copy, SparseMemory::kPageSize), 100u);
+  EXPECT_EQ(HostRead64(original, SparseMemory::kPageSize), 1u);
+  EXPECT_EQ(copy.HostBytes(2 * SparseMemory::kPageSize),
+            original.HostBytes(2 * SparseMemory::kPageSize));  // still shared
+  EXPECT_EQ(original.resident_pages(), 4u);
+  EXPECT_EQ(copy.resident_pages(), 4u);
 }
 
 // --- SparseMemory copies --------------------------------------------------------
