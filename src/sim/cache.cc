@@ -2,11 +2,65 @@
 
 #include <algorithm>
 #include <cassert>
+#include <mutex>
+#include <new>
+#include <utility>
 
 namespace yieldhide::sim {
 
 namespace {
 [[maybe_unused]] bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
+
+// Bound on the bytes of released arrays kept for reuse: about fourteen
+// SkylakeLike machines.
+constexpr size_t kMaxPooledBytes = size_t{32} << 20;
+
+// Released tag arrays, every word kInvalidTag, waiting for a Cache of the
+// same word count.
+class ArrayPool {
+ public:
+  static ArrayPool& Get() {
+    static ArrayPool* const pool = new ArrayPool;  // never destroyed
+    return *pool;
+  }
+
+  // The most recently listed array of exactly `words` words, or an empty one.
+  std::vector<uint64_t> Take(size_t words) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = arrays_.size(); i-- > 0;) {
+      if (arrays_[i].size() == words) {
+        std::swap(arrays_[i], arrays_.back());
+        std::vector<uint64_t> array = std::move(arrays_.back());
+        arrays_.pop_back();
+        bytes_ -= words * sizeof(uint64_t);
+        return array;
+      }
+    }
+    return {};
+  }
+
+  // Lists `array`, or frees it (after the lock is released) if listing it
+  // would cross kMaxPooledBytes or there is no memory for the list
+  // entry. Called from ~Cache, so it must not throw.
+  void Give(std::vector<uint64_t> array) noexcept {
+    const size_t bytes = array.size() * sizeof(uint64_t);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (bytes_ + bytes > kMaxPooledBytes) {
+      return;
+    }
+    try {
+      arrays_.push_back(std::move(array));
+    } catch (const std::bad_alloc&) {
+      return;  // push_back left `array` intact; it is freed like one past the bound
+    }
+    bytes_ += bytes;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::vector<uint64_t>> arrays_;
+  size_t bytes_ = 0;
+};
 }  // namespace
 
 Cache::Cache(const CacheLevelConfig& config) : config_(config), ways_(config.ways) {
@@ -15,8 +69,24 @@ Cache::Cache(const CacheLevelConfig& config) : config_(config), ways_(config.way
          "cache size must be a power-of-two multiple of line*ways");
   set_mask_ = num_sets - 1;
   tracked_limit_ = num_sets / kTrackedSetsDivisor;
-  // Stamps of invalid ways are never read, so one fill covers both halves.
-  slots_.assign(num_sets * 2 * ways_, kInvalidTag);
+  const size_t words = num_sets * 2 * ways_;
+  slots_ = ArrayPool::Get().Take(words);
+  if (slots_.empty()) {
+    // Stamps of invalid ways are never read, so one fill covers both halves.
+    slots_.assign(words, kInvalidTag);
+  } else {
+    assert(std::all_of(slots_.begin(), slots_.end(),
+                       [](uint64_t word) { return word == kInvalidTag; }) &&
+           "a recycled tag array must come back fully invalidated");
+  }
+}
+
+Cache::~Cache() {
+  if (slots_.empty()) {
+    return;  // moved from
+  }
+  Reset();
+  ArrayPool::Get().Give(std::move(slots_));
 }
 
 bool Cache::Lookup(uint64_t line_addr) {

@@ -14,6 +14,19 @@
 // the runs touched, not the whole array. Once more than num_sets /
 // kTrackedSetsDivisor sets are listed the list stops growing and Reset
 // refills the whole array, as it always did.
+//
+// Recycling: a destroyed Cache runs Reset and hands its array to a
+// process-wide free list, and a new Cache takes a listed array with exactly
+// its word count before it allocates one. Reset leaves every word kInvalidTag,
+// which is also what a fresh array is filled with, so a recycled array cannot
+// be told apart from a new one and no simulated number depends on reuse. What
+// it saves is the host's page faults: a SkylakeLike machine's 2.3 MiB of
+// arrays would otherwise go back to the OS with each machine and be faulted in
+// again by the next. The list holds at most 32 MiB (about fourteen
+// SkylakeLike machines); an array that would cross that is freed. It is mutex-guarded, so machines may be built
+// and destroyed on different threads, and it is a function-local singleton
+// that is never destroyed, so a Cache destroyed during static destruction
+// (a static Machine at exit) never touches a dead list.
 #ifndef YIELDHIDE_SRC_SIM_CACHE_H_
 #define YIELDHIDE_SRC_SIM_CACHE_H_
 
@@ -27,6 +40,14 @@ namespace yieldhide::sim {
 class Cache {
  public:
   explicit Cache(const CacheLevelConfig& config);
+  // Resets the array and lists it for the next Cache of the same geometry.
+  ~Cache();
+  // A copy allocates its own array; a moved-from cache holds none and hands
+  // nothing back.
+  Cache(const Cache&) = default;
+  Cache& operator=(const Cache&) = default;
+  Cache(Cache&&) = default;
+  Cache& operator=(Cache&&) = default;
 
   // Tag check without side effects (no LRU update). Used both internally and
   // to model the paper's §4.1 "is this line cached?" hardware probe.

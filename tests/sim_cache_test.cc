@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
+#include <malloc.h>
+#include <sys/resource.h>
+
+#include <array>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "src/sim/cache.h"
 #include "src/sim/hierarchy.h"
+#include "src/sim/machine.h"
 #include "src/sim/memory.h"
 
 namespace yieldhide::sim {
@@ -289,6 +297,84 @@ TEST(HierarchyTest, StatsLevelAccounting) {
   EXPECT_EQ(h.stats().loads, 2u);
   EXPECT_EQ(h.stats().dram_accesses, 1u);
   EXPECT_EQ(h.stats().l1_hits, 1u);
+}
+
+// --- Tag-array recycling ---------------------------------------------------------
+
+// Minor page faults the calling thread has taken so far.
+long MinorFaults() {
+  rusage usage{};
+  EXPECT_EQ(getrusage(RUSAGE_THREAD, &usage), 0);
+  return usage.ru_minflt;
+}
+
+TEST(CacheRecyclingTest, SecondMachineTakesNoPageFaults) {
+  // A SkylakeLike machine's tag arrays are 2.3 MiB, about 580 host pages,
+  // which a machine that allocates them afresh faults in one by one. A
+  // machine built after another was destroyed takes that machine's arrays
+  // from the free list, already resident and already invalid. malloc_trim
+  // hands every free heap page back to the OS, as the allocator does by
+  // itself when a process frees a large working set between two machines;
+  // an array freed rather than listed would have to be faulted in again.
+  { Machine first(MachineConfig::SkylakeLike()); }
+  malloc_trim(0);
+  const long before = MinorFaults();
+  Machine second(MachineConfig::SkylakeLike());
+  const long faults = MinorFaults() - before;
+  EXPECT_LT(faults, 32) << "the machine's tag arrays were not recycled";
+  EXPECT_EQ(second.hierarchy().ProbeLevel(0x1000), HitLevel::kDram);
+}
+
+// Loads, reads and increments 256 lines of `machine`'s image in a fixed
+// order; returns each access's level and latency, each value read, and the
+// hierarchy's hit counters.
+std::vector<uint64_t> RunStream(Machine& machine) {
+  std::vector<uint64_t> seen;
+  uint64_t now = 0;
+  for (uint64_t i = 0; i < 512; ++i) {
+    const uint64_t addr = 0x100000 + (i * 97 % 256) * 64;
+    const AccessResult r = machine.hierarchy().AccessLoad(addr, now);
+    now += r.latency_cycles;
+    const uint64_t value = machine.memory().Read64(addr);
+    seen.push_back(static_cast<uint64_t>(r.level) << 32 | r.latency_cycles);
+    seen.push_back(value);
+    machine.memory().Write64(addr, value + 1);
+  }
+  const MemoryHierarchy::Stats& s = machine.hierarchy().stats();
+  seen.insert(seen.end(), {s.l1_hits, s.l2_hits, s.l3_hits, s.dram_accesses});
+  return seen;
+}
+
+TEST(CacheRecyclingTest, MachinesBuiltAndDestroyedOnTwoThreads) {
+  // Two threads build machines from copies of one image, write the copies
+  // and destroy the machines, so released tag arrays and copy-on-write
+  // pages pass between them. Every machine must see what a fresh machine
+  // with its own image sees.
+  SparseMemory image;
+  for (uint64_t line = 0; line < 256; ++line) {
+    image.Write64(0x100000 + line * 64, line * 3);
+  }
+  std::vector<uint64_t> expected;
+  {
+    Machine reference(MachineConfig::SmallTest());
+    reference.memory() = image;
+    expected = RunStream(reference);
+  }
+  std::array<int, 2> wrong = {0, 0};
+  auto work = [&](size_t t) {
+    for (int i = 0; i < 24; ++i) {
+      Machine machine(MachineConfig::SmallTest());
+      machine.memory() = image;
+      wrong[t] += RunStream(machine) != expected;
+    }
+  };
+  std::thread first(work, 0);
+  std::thread second(work, 1);
+  first.join();
+  second.join();
+  EXPECT_EQ(wrong[0], 0);
+  EXPECT_EQ(wrong[1], 0);
+  EXPECT_EQ(image.Read64(0x100000 + 255 * 64), 255u * 3);
 }
 
 }  // namespace

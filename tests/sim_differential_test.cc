@@ -264,16 +264,10 @@ TEST(CacheDifferentialTest, InvalidatedWayIsFilledBeforeTheLruWay) {
 
 // Installs lines into the first `touched` sets, then empties and refills the
 // first `refilled` of them with Invalidate, so those sets turn from empty to
-// non-empty twice. After Reset no old line may remain, and the cache must
-// track the reference (itself reset by a full sweep) op for op.
-void RunResetDifferential(const CacheLevelConfig& config, uint64_t touched,
-                          uint64_t refilled, uint64_t seed) {
-  SCOPED_TRACE(config.name + " sets=" + std::to_string(config.num_sets()) +
-               " touched=" + std::to_string(touched) +
-               " refilled=" + std::to_string(refilled));
-  Cache cache(config);
-  ReferenceCache reference(config);
-  std::mt19937_64 rng(seed);
+// non-empty twice. Returns every line installed.
+std::vector<uint64_t> FillSets(Cache& cache, ReferenceCache& reference,
+                               const CacheLevelConfig& config, uint64_t touched,
+                               uint64_t refilled, std::mt19937_64& rng) {
   const uint64_t sets = config.num_sets();
   std::vector<uint64_t> installed;
   for (uint64_t set = 0; set < touched; ++set) {
@@ -287,14 +281,29 @@ void RunResetDifferential(const CacheLevelConfig& config, uint64_t touched,
   }
   for (uint64_t set = 0; set < refilled; ++set) {
     for (uint64_t tag = 0; tag < 64; ++tag) {
-      ASSERT_EQ(cache.Invalidate(set + sets * tag), reference.Invalidate(set + sets * tag));
+      EXPECT_EQ(cache.Invalidate(set + sets * tag), reference.Invalidate(set + sets * tag));
     }
     const uint64_t line = set + sets * 99;
     cache.Install(line);
     reference.Install(line, nullptr);
     installed.push_back(line);
   }
-  ASSERT_EQ(cache.stats().installs, reference.stats().installs);
+  EXPECT_EQ(cache.stats().installs, reference.stats().installs);
+  return installed;
+}
+
+// Fills sets as FillSets does; after Reset no old line may remain, and the
+// cache must track the reference (itself reset by a full sweep) op for op.
+void RunResetDifferential(const CacheLevelConfig& config, uint64_t touched,
+                          uint64_t refilled, uint64_t seed) {
+  SCOPED_TRACE(config.name + " sets=" + std::to_string(config.num_sets()) +
+               " touched=" + std::to_string(touched) +
+               " refilled=" + std::to_string(refilled));
+  Cache cache(config);
+  ReferenceCache reference(config);
+  std::mt19937_64 rng(seed);
+  const std::vector<uint64_t> installed =
+      FillSets(cache, reference, config, touched, refilled, rng);
 
   cache.Reset();
   reference.Reset();
@@ -302,7 +311,7 @@ void RunResetDifferential(const CacheLevelConfig& config, uint64_t touched,
   for (uint64_t line : installed) {
     ASSERT_FALSE(cache.Contains(line)) << line;
   }
-  const uint64_t hot = std::max<uint64_t>(1, std::min(touched, sets));
+  const uint64_t hot = std::max<uint64_t>(1, std::min(touched, config.num_sets()));
   DriveCaches(cache, reference, config, rng, hot, 20'000);
 }
 
@@ -338,6 +347,46 @@ TEST(CacheDifferentialTest, RepeatedResetsOfOneCache) {
       ASSERT_FALSE(cache.Contains(line)) << line;
     }
   }
+}
+
+// A destroyed cache hands its array to the next cache of the same word count.
+// Drives a cache of a geometry no other test uses (6 ways x 128 sets, 1536
+// words) through random streams, then fills `touched` sets and empties and
+// refills `refilled` of them, and destroys it. A smaller decoy built before
+// it and destroyed after it sits on top of the free list. The successor must
+// start empty and track a fresh reference op for op.
+void RunSuccessorDifferential(uint64_t touched, uint64_t refilled, uint64_t seed) {
+  const CacheLevelConfig config = Geometry(6, 128);
+  SCOPED_TRACE("touched=" + std::to_string(touched) + " refilled=" + std::to_string(refilled));
+  std::mt19937_64 rng(seed);
+  std::vector<uint64_t> installed;
+  {
+    Cache decoy(Geometry(2, 8));
+    Cache cache(config);
+    ReferenceCache reference(config);
+    DriveCaches(cache, reference, config, rng, 8, 20'000);
+    // Empty the tracked-set list, so the fill alone decides which of
+    // Reset's paths the destructor takes.
+    cache.Reset();
+    reference.Reset();
+    installed = FillSets(cache, reference, config, touched, refilled, rng);
+  }
+
+  Cache successor(config);
+  ReferenceCache fresh(config);
+  ExpectSameStats(successor.stats(), Cache::Stats{}, 0);
+  for (uint64_t line : installed) {
+    ASSERT_FALSE(successor.Contains(line)) << line;
+  }
+  DriveCaches(successor, fresh, config, rng, config.num_sets(), 20'000);
+}
+
+TEST(CacheDifferentialTest, SuccessorOfADestroyedCacheIsFresh) {
+  const uint64_t sets = Geometry(6, 128).num_sets();
+  const uint64_t limit = sets / Cache::kTrackedSetsDivisor;
+  RunSuccessorDifferential(limit - 2, 2, 37);  // at the limit: touched sets only
+  RunSuccessorDifferential(sets, 16, 41);      // past it: the whole array
+  RunSuccessorDifferential(0, 0, 43);          // nothing to reset
 }
 
 // --- SparseMemory ----------------------------------------------------------------

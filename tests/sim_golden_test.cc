@@ -601,10 +601,13 @@ Snapshot RunWorkload(const workloads::SimWorkload& workload, sim::Machine& machi
   return snap;
 }
 
-// A machine after ResetMicroarchState, and a second machine loading the same
-// workload's image, must give a fresh machine's cycles, per-task latencies
-// and counters. The footprints differ so that a reset takes both of
-// Cache::Reset's paths: the chase touches most L3 sets, the kernels few.
+// A machine after ResetMicroarchState, a second machine loading the same
+// workload's image, and a machine built just after one that ran the workload
+// was destroyed must give a fresh machine's cycles, per-task latencies and
+// counters. The last one takes the destroyed machine's tag arrays, which its
+// destructor reset. The footprints differ so that a reset takes both of
+// Cache::Reset's paths: the chase touches most L3 sets (a full refill), the
+// kernels few (only the touched sets).
 TEST(SimGoldenTest, ResetMachineRunsLikeAFreshOne) {
   std::vector<std::pair<std::unique_ptr<workloads::SimWorkload>, int>> cases;
   workloads::PointerChase::Config chase;
@@ -656,6 +659,15 @@ TEST(SimGoldenTest, ResetMachineRunsLikeAFreshOne) {
     sim::Machine second(sim::MachineConfig::SkylakeLike());
     workload->InitMemory(second.memory());
     EXPECT_EQ(RunWorkload(*workload, second, tasks), fresh);
+
+    {
+      sim::Machine dropped(sim::MachineConfig::SkylakeLike());
+      workload->InitMemory(dropped.memory());
+      EXPECT_EQ(RunWorkload(*workload, dropped, tasks), fresh);
+    }
+    sim::Machine recycled(sim::MachineConfig::SkylakeLike());
+    workload->InitMemory(recycled.memory());
+    EXPECT_EQ(RunWorkload(*workload, recycled, tasks), fresh);
   }
 }
 
