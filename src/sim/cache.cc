@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <mutex>
 #include <new>
 #include <utility>
@@ -11,8 +12,15 @@ namespace yieldhide::sim {
 namespace {
 [[maybe_unused]] bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
 
-// Bound on the bytes of released arrays kept for reuse: about fourteen
-// SkylakeLike machines.
+// Shifts the tags in slots [0, way) down one slot and writes `line_addr` to
+// slot 0, the most recently used; the tag in slot `way` is overwritten.
+void MoveToFront(uint64_t* set, uint32_t way, uint64_t line_addr) {
+  std::memmove(set + 1, set, way * sizeof(uint64_t));
+  set[0] = line_addr;
+}
+
+// Bound on the bytes of released arrays kept for reuse: about 28 SkylakeLike
+// machines.
 constexpr size_t kMaxPooledBytes = size_t{32} << 20;
 
 // Released tag arrays, every word kInvalidTag, waiting for a Cache of the
@@ -69,10 +77,9 @@ Cache::Cache(const CacheLevelConfig& config) : config_(config), ways_(config.way
          "cache size must be a power-of-two multiple of line*ways");
   set_mask_ = num_sets - 1;
   tracked_limit_ = num_sets / kTrackedSetsDivisor;
-  const size_t words = num_sets * 2 * ways_;
+  const size_t words = num_sets * ways_;
   slots_ = ArrayPool::Get().Take(words);
   if (slots_.empty()) {
-    // Stamps of invalid ways are never read, so one fill covers both halves.
     slots_.assign(words, kInvalidTag);
   } else {
     assert(std::all_of(slots_.begin(), slots_.end(),
@@ -96,7 +103,7 @@ bool Cache::Lookup(uint64_t line_addr) {
   if (way < 0) {
     return false;
   }
-  set[ways_ + way] = ++lru_clock_;
+  MoveToFront(set, static_cast<uint32_t>(way), line_addr);
   ++stats_.hits;
   return true;
 }
@@ -104,35 +111,25 @@ bool Cache::Lookup(uint64_t line_addr) {
 bool Cache::Install(uint64_t line_addr, uint64_t* evicted) {
   assert(line_addr != kInvalidTag);
   ++stats_.installs;
-  uint64_t* tags = SetOf(line_addr);
-  uint64_t* stamps = tags + ways_;
-  uint32_t invalid = ways_;  // first invalid way, if any
-  uint32_t lru = ways_;      // valid way with the smallest stamp
-  for (uint32_t w = 0; w < ways_; ++w) {
-    if (tags[w] == line_addr) {
-      stamps[w] = ++lru_clock_;  // refresh, already present
-      return false;
-    }
-    if (tags[w] == kInvalidTag) {
-      if (invalid == ways_) {
-        invalid = w;
-      }
-    } else if (lru == ways_ || stamps[w] < stamps[lru]) {
-      lru = w;
-    }
+  uint64_t* set = SetOf(line_addr);
+  const int way = FindWay(set, line_addr);
+  if (way >= 0) {
+    MoveToFront(set, static_cast<uint32_t>(way), line_addr);  // refresh, already present
+    return false;
   }
-  const bool evicting = invalid == ways_;
-  const uint32_t victim = evicting ? lru : invalid;
+  // The last slot is the LRU line if the set is full; an invalid last slot
+  // means a free way, which the shift fills without evicting anything.
+  const uint64_t last = set[ways_ - 1];
+  const bool evicting = last != kInvalidTag;
   if (evicting) {
     ++stats_.evictions;
     if (evicted != nullptr) {
-      *evicted = tags[victim];
+      *evicted = last;
     }
-  } else if (lru == ways_) [[unlikely]] {
+  } else if (set[0] == kInvalidTag) [[unlikely]] {
     NoteFilled(line_addr & set_mask_);  // the set was empty
   }
-  tags[victim] = line_addr;
-  stamps[victim] = ++lru_clock_;
+  MoveToFront(set, ways_ - 1, line_addr);
   return evicting;
 }
 
@@ -148,7 +145,9 @@ bool Cache::Invalidate(uint64_t line_addr) {
   if (way < 0) {
     return false;
   }
-  set[way] = kInvalidTag;
+  // Close the hole so that invalid ways stay at the tail.
+  std::memmove(set + way, set + way + 1, (ways_ - 1 - way) * sizeof(uint64_t));
+  set[ways_ - 1] = kInvalidTag;
   return true;
 }
 
@@ -157,11 +156,10 @@ void Cache::Reset() {
     std::fill(slots_.begin(), slots_.end(), kInvalidTag);
   } else {
     for (uint32_t set : touched_) {
-      std::fill_n(&slots_[static_cast<uint64_t>(set) * 2 * ways_], 2 * ways_, kInvalidTag);
+      std::fill_n(&slots_[static_cast<uint64_t>(set) * ways_], ways_, kInvalidTag);
     }
   }
   touched_.clear();
-  lru_clock_ = 0;
   stats_ = Stats{};
 }
 

@@ -1,10 +1,10 @@
 // A single set-associative cache level with true-LRU replacement.
 // Addresses handled here are line addresses (byte address >> line bits).
 //
-// Layout: one flat array of uint64_t, blocked by set. Set s occupies
-// 2 * ways consecutive words: its `ways` tags, then its `ways` LRU stamps,
-// so a tag check touches one or two host cache lines and the victim scan
-// stays in the same block. An invalid way holds the sentinel tag
+// Layout: one flat array of uint64_t, blocked by set. Set s occupies `ways`
+// consecutive words, its tags in recency order: slot 0 is the most recently
+// used line and invalid ways sit only at the tail, so the last slot, when
+// valid, is the LRU victim. An invalid way holds the sentinel tag
 // kInvalidTag, which no line address can equal: a line address is a byte
 // address shifted right by the line bits, so its top bits are zero.
 //
@@ -20,13 +20,14 @@
 // its word count before it allocates one. Reset leaves every word kInvalidTag,
 // which is also what a fresh array is filled with, so a recycled array cannot
 // be told apart from a new one and no simulated number depends on reuse. What
-// it saves is the host's page faults: a SkylakeLike machine's 2.3 MiB of
+// it saves is the host's page faults: a SkylakeLike machine's 1.13 MiB of
 // arrays would otherwise go back to the OS with each machine and be faulted in
-// again by the next. The list holds at most 32 MiB (about fourteen
-// SkylakeLike machines); an array that would cross that is freed. It is mutex-guarded, so machines may be built
-// and destroyed on different threads, and it is a function-local singleton
-// that is never destroyed, so a Cache destroyed during static destruction
-// (a static Machine at exit) never touches a dead list.
+// again by the next. The list holds at most 32 MiB (about 28 SkylakeLike
+// machines); an array that would cross that is freed. It is mutex-guarded,
+// so machines may be built and destroyed on different threads, and it is a
+// function-local singleton that is never destroyed, so a Cache destroyed
+// during static destruction (a static Machine at exit) never touches a dead
+// list.
 #ifndef YIELDHIDE_SRC_SIM_CACHE_H_
 #define YIELDHIDE_SRC_SIM_CACHE_H_
 
@@ -53,19 +54,19 @@ class Cache {
   // to model the paper's §4.1 "is this line cached?" hardware probe.
   bool Contains(uint64_t line_addr) const { return FindWay(SetOf(line_addr), line_addr) >= 0; }
 
-  // Tag check with LRU update on hit. Does not fill on miss.
+  // Tag check; a hit becomes the most recently used line. No fill on miss.
   bool Lookup(uint64_t line_addr);
 
   // Installs a line, evicting the LRU way if the set is full. Returns true if
   // an eviction occurred (evicted line in *evicted when non-null). A line
-  // already present only has its LRU stamp refreshed; otherwise the first
-  // invalid way is filled, else the way with the smallest stamp.
+  // already present only becomes the most recently used; a new line takes an
+  // invalid way if the set has one, else the LRU way.
   bool Install(uint64_t line_addr, uint64_t* evicted = nullptr);
 
   // Removes a line if present; returns whether it was present.
   bool Invalidate(uint64_t line_addr);
 
-  // Invalidates every way and zeroes the LRU clock and the stats.
+  // Invalidates every way and zeroes the stats.
   void Reset();
   static constexpr uint64_t kTrackedSetsDivisor = 4;
 
@@ -81,16 +82,17 @@ class Cache {
  private:
   static constexpr uint64_t kInvalidTag = ~0ull;
 
-  // First word of the line's set: `ways_` tags followed by `ways_` stamps.
-  uint64_t* SetOf(uint64_t line_addr) { return &slots_[(line_addr & set_mask_) * 2 * ways_]; }
+  // First word of the line's set: its `ways_` tags, most recent first.
+  uint64_t* SetOf(uint64_t line_addr) { return &slots_[(line_addr & set_mask_) * ways_]; }
   const uint64_t* SetOf(uint64_t line_addr) const {
-    return &slots_[(line_addr & set_mask_) * 2 * ways_];
+    return &slots_[(line_addr & set_mask_) * ways_];
   }
   // Lists `set` for the next Reset (Install found it empty).
   void NoteFilled(uint64_t set);
-  // Way index holding `line_addr` in `set`, or -1.
+  // Way index holding `line_addr` in `set`, or -1. Invalid ways are only at
+  // the tail, so the scan stops at the first one.
   int FindWay(const uint64_t* set, uint64_t line_addr) const {
-    for (uint32_t w = 0; w < ways_; ++w) {
+    for (uint32_t w = 0; w < ways_ && set[w] != kInvalidTag; ++w) {
       if (set[w] == line_addr) {
         return static_cast<int>(w);
       }
@@ -101,8 +103,7 @@ class Cache {
   CacheLevelConfig config_;
   uint32_t ways_;
   uint64_t set_mask_;
-  uint64_t lru_clock_ = 0;
-  std::vector<uint64_t> slots_;  // num_sets * 2 * ways, blocked by set
+  std::vector<uint64_t> slots_;  // num_sets * ways, blocked by set
   Stats stats_;
   // Sets an Install turned from empty to non-empty since the last Reset;
   // holding more than tracked_limit_ entries means "refill everything".

@@ -40,11 +40,11 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
          "all levels must share a line size");
 }
 
-// Completed fills are installed in the MSHR map's iteration order, and that
-// order sets the LRU stamps they receive. With std::unordered_map the order is
+// Completed fills are installed in the MSHR map's iteration order, which
+// sets their recency order in each cache set. With std::unordered_map that is
 // libstdc++'s bucket order, so simulated results depend on the standard
 // library: a known determinism dependency. A fixed-array MSHR would be faster
-// but would change the order, and with it the stamps and every simulated
+// but would change the order, and with it the victims and every simulated
 // number downstream, so it waits for a change that may move results. The
 // early exit below skips only passes that would install nothing.
 void MemoryHierarchy::DrainMshr(uint64_t now) {

@@ -29,8 +29,8 @@
 // executor host-prefetches the image bytes through HostBytes before it walks
 // the simulated cache tags, so the two host misses overlap. The cache levels
 // in front of it (src/sim/cache.h) keep one uint64_t array, blocked by set:
-// each set's `ways` tags, then its `ways` LRU stamps, with the sentinel tag ~0
-// marking an invalid way.
+// each set's `ways` tags in recency order, the sentinel tag ~0 marking an
+// invalid way.
 #ifndef YIELDHIDE_SRC_SIM_MEMORY_H_
 #define YIELDHIDE_SRC_SIM_MEMORY_H_
 

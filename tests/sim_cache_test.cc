@@ -309,7 +309,7 @@ long MinorFaults() {
 }
 
 TEST(CacheRecyclingTest, SecondMachineTakesNoPageFaults) {
-  // A SkylakeLike machine's tag arrays are 2.3 MiB, about 580 host pages,
+  // A SkylakeLike machine's tag arrays are 1.13 MiB, about 290 host pages,
   // which a machine that allocates them afresh faults in one by one. A
   // machine built after another was destroyed takes that machine's arrays
   // from the free list, already resident and already invalid. malloc_trim

@@ -2,7 +2,8 @@
 // reference models, driven by seeded random operation streams.
 //
 // ReferenceCache is the original array-of-structs true-LRU cache (one Way
-// record per way with a `valid` flag). ReferenceMemory keeps every page in a
+// record per way with a `valid` flag and an LRU stamp), an oracle independent
+// of sim::Cache's recency-ordered sets. ReferenceMemory keeps every page in a
 // std::unordered_map. Every return value, every evicted line, the stats, and
 // the resident page count must match after every operation. Copies of a
 // SparseMemory share pages copy-on-write; their reference is a copy of the
@@ -35,7 +36,7 @@ namespace {
 class ReferenceCache {
  public:
   explicit ReferenceCache(const CacheLevelConfig& config)
-      : config_(config), set_mask_(config.num_sets() - 1) {
+      : config_(config), set_mask_(config.num_sets() - 1), invalidated_at_rank_(config.ways) {
     ways_.resize(config.num_sets() * config.ways);
   }
 
@@ -88,9 +89,20 @@ class ReferenceCache {
     if (way == nullptr) {
       return false;
     }
+    // The way's recency rank in its set (0 = most recently used): where
+    // sim::Cache's set gets its hole.
+    const Way* base = &ways_[(line_addr & set_mask_) * config_.ways];
+    size_t rank = 0;
+    for (uint32_t w = 0; w < config_.ways; ++w) {
+      rank += base[w].valid && base[w].lru_stamp > way->lru_stamp;
+    }
+    ++invalidated_at_rank_[rank];
     way->valid = false;
     return true;
   }
+
+  // Invalidates that hit a present line, by the line's recency rank.
+  const std::vector<uint64_t>& invalidated_at_rank() const { return invalidated_at_rank_; }
 
   void Reset() {
     for (Way& way : ways_) {
@@ -127,6 +139,7 @@ class ReferenceCache {
   uint64_t lru_clock_ = 0;
   std::vector<Way> ways_;
   Cache::Stats stats_;
+  std::vector<uint64_t> invalidated_at_rank_;
 };
 
 class ReferenceMemory {
@@ -167,28 +180,39 @@ void ExpectSameStats(const Cache::Stats& a, const Cache::Stats& b, uint64_t step
   EXPECT_EQ(a.evictions, b.evictions) << "step " << step;
 }
 
+// Percent of operations that are a Contains, a Lookup and an Install; the
+// rest but 1% are Invalidates, and that 1% resets both caches one time in 8.
+// Hot-set lines take one of `tags` tags (0: 3 * ways + 1).
+struct OpMix {
+  uint64_t contains = 30;
+  uint64_t lookups = 30;
+  uint64_t installs = 30;
+  uint64_t tags = 0;
+};
+
 // Drives both caches with `steps` random operations. Most line addresses fall
 // in the first `hot_sets` sets, so sets fill, evict and refresh constantly;
 // the rest are spread over a wide range.
 void DriveCaches(Cache& cache, ReferenceCache& reference, const CacheLevelConfig& config,
-                 std::mt19937_64& rng, uint64_t hot_sets, uint64_t steps) {
+                 std::mt19937_64& rng, uint64_t hot_sets, uint64_t steps, OpMix mix = {}) {
   const uint64_t sets = config.num_sets();
+  const uint64_t tags = mix.tags != 0 ? mix.tags : 3 * config.ways + 1;
   auto next_line = [&]() -> uint64_t {
     if (rng() % 5 == 0) {
       return rng() >> 6;  // any line address of a 64-bit byte address
     }
     const uint64_t set = rng() % hot_sets;
-    return set + sets * (rng() % (3 * config.ways + 1));
+    return set + sets * (rng() % tags);
   };
 
   for (uint64_t step = 0; step < steps; ++step) {
     const uint64_t line = next_line();
     const uint64_t op = rng() % 100;
-    if (op < 30) {
+    if (op < mix.contains) {
       ASSERT_EQ(cache.Contains(line), reference.Contains(line)) << "step " << step;
-    } else if (op < 60) {
+    } else if (op < mix.contains + mix.lookups) {
       ASSERT_EQ(cache.Lookup(line), reference.Lookup(line)) << "step " << step;
-    } else if (op < 90) {
+    } else if (op < mix.contains + mix.lookups + mix.installs) {
       uint64_t evicted = 0x5eed;
       uint64_t ref_evicted = 0x5eed;
       const bool use_out = (op & 1) == 0;
@@ -242,6 +266,41 @@ TEST(CacheDifferentialTest, SkylakeLikeLevels) {
   const HierarchyConfig config = MachineConfig::SkylakeLike().hierarchy;
   for (const CacheLevelConfig& level : {config.l1, config.l2, config.l3}) {
     RunCacheDifferential(level, 13, 20'000);
+  }
+}
+
+TEST(CacheDifferentialTest, InvalidateChurnLeavesHolesAtEverySlot) {
+  // One 16-way set, a third of the operations Invalidates, and tags drawn
+  // from barely more lines than the set holds, so most Invalidates hit. A
+  // hit line's recency rank is the slot sim::Cache removes it from, so every
+  // rank must have been hit, the last slot and the first included.
+  const CacheLevelConfig config = Geometry(16, 1);
+  Cache cache(config);
+  ReferenceCache reference(config);
+  std::mt19937_64 rng(47);
+  DriveCaches(cache, reference, config, rng, 1, 40'000,
+              {.contains = 15, .lookups = 20, .installs = 32, .tags = 20});
+  for (uint32_t rank = 0; rank < config.ways; ++rank) {
+    EXPECT_GT(reference.invalidated_at_rank()[rank], 0u) << "no hole at slot " << rank;
+  }
+}
+
+TEST(CacheDifferentialTest, HoleAtTheMostRecentSlotIsFilledWithoutEviction) {
+  // 1 set x 4 ways, full: 13 is the most recently used line, 10 the least.
+  Cache cache(Geometry(4, 1));
+  for (uint64_t line : {10u, 11u, 12u, 13u}) {
+    cache.Install(line);
+  }
+  EXPECT_TRUE(cache.Invalidate(13));
+  uint64_t evicted = 0;
+  EXPECT_FALSE(cache.Install(14, &evicted));  // takes the hole
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_TRUE(cache.Install(15, &evicted));
+  EXPECT_EQ(evicted, 10u);  // the least recent line is still the victim
+  EXPECT_TRUE(cache.Install(16, &evicted));
+  EXPECT_EQ(evicted, 11u);
+  for (uint64_t line = 10; line <= 16; ++line) {
+    EXPECT_EQ(cache.Contains(line), line >= 12 && line != 13) << line;
   }
 }
 

@@ -671,5 +671,60 @@ TEST(SimGoldenTest, ResetMachineRunsLikeAFreshOne) {
   }
 }
 
+TEST(SimGoldenTest, StoreToAPendingLineLeavesItsFillInTheMshr) {
+  // A store to a line whose fill is still in flight misses L1 and installs
+  // the line at once (write-allocate through the store buffer), but its MSHR
+  // entry stays. The next load of the line merges with that fill and waits
+  // for it, although L1 already holds the line. Pinned so that a change to
+  // the MSHR moves it on purpose.
+  sim::Machine machine(sim::MachineConfig::SmallTest());
+  sim::MemoryHierarchy& h = machine.hierarchy();
+  const uint64_t addr = 0x500000;
+  ASSERT_TRUE(h.Prefetch(addr, 0));  // from DRAM: ready at cycle 200
+  EXPECT_FALSE(h.AccessStore(addr, 50));
+  EXPECT_EQ(h.ProbeLevel(addr), sim::HitLevel::kL1);
+  EXPECT_EQ(h.inflight_fills(), 1u);
+
+  const sim::AccessResult merged = h.AccessLoad(addr, 60);
+  EXPECT_TRUE(merged.hit_inflight);
+  EXPECT_EQ(merged.level, sim::HitLevel::kL1);
+  EXPECT_EQ(merged.latency_cycles, 200u - 60u + 4u);  // remaining fill + L1
+  EXPECT_EQ(h.inflight_fills(), 0u);
+
+  const sim::AccessResult hit = h.AccessLoad(addr, 70);
+  EXPECT_FALSE(hit.hit_inflight);
+  EXPECT_EQ(hit.latency_cycles, 4u);
+
+  Snapshot snap;
+  AddHierarchy(snap, h);
+  ExpectSnapshot(snap, {
+      {"loads", 2},
+      {"l1_hits", 2},
+      {"l2_hits", 0},
+      {"l3_hits", 0},
+      {"dram_accesses", 0},
+      {"inflight_merges", 1},
+      {"stores", 1},
+      {"store_misses", 1},
+      {"prefetches_issued", 1},
+      {"prefetches_useless", 0},
+      {"prefetches_dropped", 0},
+      {"hw_prefetches", 0},
+      {"inflight_fills", 0},
+      {"l1.lookups", 2},
+      {"l1.hits", 1},
+      {"l1.installs", 2},
+      {"l1.evictions", 0},
+      {"l2.lookups", 0},
+      {"l2.hits", 0},
+      {"l2.installs", 2},
+      {"l2.evictions", 0},
+      {"l3.lookups", 0},
+      {"l3.hits", 0},
+      {"l3.installs", 2},
+      {"l3.evictions", 0},
+  });
+}
+
 }  // namespace
 }  // namespace yieldhide
